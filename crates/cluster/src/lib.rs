@@ -31,6 +31,6 @@ pub use sizing::{
     right_size_baseline_only, right_size_baseline_only_faulted, right_size_baseline_only_prepared,
     right_size_baseline_only_prepared_linear, right_size_baseline_only_unprepared,
     right_size_mixed, right_size_mixed_faulted, right_size_mixed_prepared,
-    right_size_mixed_prepared_linear, right_size_mixed_unprepared, AvailabilitySlo, ClusterPlan,
-    FaultInjection, SizingError,
+    right_size_mixed_prepared_linear, right_size_mixed_unprepared, right_size_prepared,
+    AvailabilitySlo, ClusterPlan, ClusterSizing, FaultInjection, SizingError, SizingWork,
 };

@@ -10,10 +10,13 @@
 //! count — the `shard_equivalence` suite gates exactly that.
 
 use crate::parallel::map_parallel_mut;
-use crate::sizing::{baseline_search, mixed_search, ClusterPlan, FaultInjection, SizingError};
+use crate::sizing::{
+    admitted, baseline_pass, probe_plan, size_pass, ClusterPlan, FaultInjection, SizingError,
+    SizingWork,
+};
 use gsf_vmalloc::{
-    merge_outcomes, ClusterConfig, FaultPlan, FaultSummary, PlacementPolicy, PreparedTrace,
-    ServerShape, ShardedSim, SimOutcome,
+    merge_outcomes, merge_probes, ClusterConfig, FaultPlan, FaultSummary, PlacementPolicy,
+    PreparedTrace, ServerShape, ShardedSim, SimOutcome,
 };
 
 /// Replays `prepared` (with `faults`) across `sim`'s shards on
@@ -39,7 +42,29 @@ pub fn replay_sharded(
     (out, summary)
 }
 
-/// Feasibility probe on the sharded engine: reset, replay on `workers`
+/// Verdict-only replay on the sharded engine: each shard runs the
+/// probe replay ([`gsf_vmalloc::ShardTask::probe`]) on `workers`
+/// threads, and the verdicts merge in ascending shard order. `None`
+/// when any shard rejected an arrival, otherwise the merged summary,
+/// bit-identical to [`replay_sharded`]'s.
+fn probe_sharded(
+    sim: &mut ShardedSim,
+    prepared: &PreparedTrace,
+    faults: &FaultPlan,
+    workers: usize,
+) -> Option<FaultSummary> {
+    let mut tasks = sim.shard_tasks(prepared, faults);
+    let parts = map_parallel_mut(&mut tasks, workers, |_, task| task.probe(prepared));
+    let mut summary = merge_probes(parts)?;
+    // The blast radius comes from the global plan, as in
+    // [`replay_sharded`].
+    if summary.faults_applied() {
+        summary.availability.blast_radius_servers = faults.max_correlated_strikes();
+    }
+    Some(summary)
+}
+
+/// Feasibility probe on the sharded engine: reset, probe on `workers`
 /// threads, require no rejections (and, under fault injection, full
 /// evacuation or the availability-SLO budget). The sharded analogue of
 /// the unsharded prepared probe.
@@ -51,14 +76,20 @@ fn feasible_sharded(
     workers: usize,
 ) -> bool {
     sim.reset(config);
-    match faults {
-        None => replay_sharded(sim, prepared, &FaultPlan::empty(), workers).0.no_rejections(),
-        Some(inj) => {
-            let plan = inj.plan_for(&config, prepared.duration_s());
-            let (outcome, summary) = replay_sharded(sim, prepared, &plan, workers);
-            outcome.no_rejections() && inj.admits(&summary)
-        }
-    }
+    let plan = probe_plan(faults, &config, prepared.duration_s());
+    admitted(probe_sharded(sim, prepared, &plan, workers), faults)
+}
+
+/// A sharded-engine probe over one `shards`-way simulator, reset and
+/// reused by every probe of one search.
+pub(crate) fn sharded_probe<'a>(
+    policy: PlacementPolicy,
+    faults: Option<&'a FaultInjection<'a>>,
+    shards: usize,
+    workers: usize,
+) -> impl FnMut(&PreparedTrace, ClusterConfig) -> bool + 'a {
+    let mut sim = ShardedSim::new(ClusterConfig::baseline_only(0), policy, shards);
+    move |prepared, config| feasible_sharded(&mut sim, prepared, config, faults, workers)
 }
 
 /// Baseline-only sizing under the **sharded** replay semantics:
@@ -81,15 +112,15 @@ pub fn right_size_baseline_only_prepared_sharded(
     workers: usize,
 ) -> Result<u32, SizingError> {
     let faults = faults.filter(|f| !f.model.is_none());
-    let mut sim = ShardedSim::new(ClusterConfig::baseline_only(0), policy, shards);
-    baseline_search(prepared.peak_demand(), baseline_shape, |config| {
-        feasible_sharded(&mut sim, prepared, config, faults, workers)
-    })
+    let probe = sharded_probe(policy, faults, shards, workers);
+    baseline_pass(prepared, baseline_shape, &mut SizingWork::default(), probe)
 }
 
 /// Mixed-cluster sizing under the sharded replay semantics; see
 /// [`right_size_baseline_only_prepared_sharded`] for the knobs and
 /// [`crate::sizing::right_size_mixed_prepared`] for the search itself.
+/// [`crate::sizing::right_size_prepared`] returns the same plan
+/// together with `n0` from one pass.
 ///
 /// # Errors
 ///
@@ -106,18 +137,9 @@ pub fn right_size_mixed_prepared_sharded(
     workers: usize,
 ) -> Result<ClusterPlan, SizingError> {
     let faults = faults.filter(|f| !f.model.is_none());
-    let n0 = right_size_baseline_only_prepared_sharded(
-        prepared_baseline,
-        baseline_shape,
-        policy,
-        faults,
-        shards,
-        workers,
-    )?;
-    let mut sim = ShardedSim::new(ClusterConfig::baseline_only(0), policy, shards);
-    mixed_search(n0, baseline_shape, green_shape, |config| {
-        feasible_sharded(&mut sim, prepared, config, faults, workers)
-    })
+    let probe = || sharded_probe(policy, faults, shards, workers);
+    size_pass(prepared, prepared_baseline, baseline_shape, green_shape, probe)
+        .map(|sizing| sizing.plan)
 }
 
 #[cfg(test)]

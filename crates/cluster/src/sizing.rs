@@ -15,6 +15,7 @@ use gsf_vmalloc::{
 };
 use gsf_workloads::Trace;
 use serde::{Deserialize, Serialize};
+use std::collections::BTreeMap;
 use std::fmt;
 
 /// Availability SLO for the fault-aware sizing searches: instead of
@@ -107,8 +108,57 @@ impl fmt::Display for SizingError {
 
 impl std::error::Error for SizingError {}
 
+/// Work counters of one sizing pass: searches and feasibility probes
+/// run. They are exact and clock-free, so the same inputs always give
+/// the same counts and a test can pin them.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SizingWork {
+    /// Baseline-only (`n0`) searches run.
+    pub baseline_searches: u32,
+    /// Feasibility probes those searches ran.
+    pub baseline_probes: u32,
+    /// Feasibility probes the mixed search ran. A configuration the
+    /// search already decided is answered from its verdict memo and is
+    /// not a probe.
+    pub mixed_probes: u32,
+}
+
+/// Both sizing results of one evaluation, from one pass
+/// ([`right_size_prepared`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ClusterSizing {
+    /// Right-sized baseline-only server count (`n0`).
+    pub baseline_only: u32,
+    /// Right-sized mixed cluster.
+    pub plan: ClusterPlan,
+    /// What the pass cost.
+    pub work: SizingWork,
+}
+
+/// The feasibility predicate over one probe's verdict: no rejected
+/// arrival (`Some`), and under fault injection the fault summary
+/// admitted as well.
+pub(crate) fn admitted(
+    verdict: Option<gsf_vmalloc::FaultSummary>,
+    faults: Option<&FaultInjection<'_>>,
+) -> bool {
+    verdict.is_some_and(|summary| faults.is_none_or(|inj| inj.admits(&summary)))
+}
+
+/// The fault plan a probe of `config` replays: empty without fault
+/// injection.
+pub(crate) fn probe_plan(
+    faults: Option<&FaultInjection<'_>>,
+    config: &ClusterConfig,
+    duration_s: f64,
+) -> FaultPlan {
+    faults.map_or_else(FaultPlan::empty, |inj| inj.plan_for(config, duration_s))
+}
+
 /// Feasibility probe on the prepared replay engine: the plan is built
-/// once per sizing call and replayed across every probe.
+/// once per sizing call and replayed across every probe. Runs the
+/// verdict-only replay ([`AllocationSim::probe_prepared_faulted`]),
+/// whose answer matches the full replay's bit for bit.
 fn feasible_prepared(
     sim: &mut AllocationSim,
     prepared: &PreparedTrace,
@@ -116,14 +166,22 @@ fn feasible_prepared(
     faults: Option<&FaultInjection<'_>>,
 ) -> bool {
     sim.reset(config);
-    match faults {
-        None => sim.replay_prepared(prepared).no_rejections(),
-        Some(inj) => {
-            let plan = inj.plan_for(&config, prepared.duration_s());
-            let (outcome, summary) = sim.replay_prepared_faulted(prepared, &plan);
-            outcome.no_rejections() && inj.admits(&summary)
-        }
+    let plan = probe_plan(faults, &config, prepared.duration_s());
+    admitted(sim.probe_prepared_faulted(prepared, &plan), faults)
+}
+
+/// A prepared-engine probe over one simulator, indexed or linear, that
+/// every probe of one search resets and reuses.
+fn prepared_probe<'a>(
+    policy: PlacementPolicy,
+    faults: Option<&'a FaultInjection<'a>>,
+    linear_selection: bool,
+) -> impl FnMut(&PreparedTrace, ClusterConfig) -> bool + 'a {
+    let mut sim = AllocationSim::new(ClusterConfig::baseline_only(0), policy);
+    if linear_selection {
+        sim = sim.with_linear_selection();
     }
+    move |prepared, config| feasible_prepared(&mut sim, prepared, config, faults)
 }
 
 /// Feasibility probe on the unprepared reference engine; bit-identical
@@ -212,11 +270,15 @@ pub(crate) fn mixed_search(
     let mut green_cap = ((f64::from(n0) * cap_ratio * 1.6).ceil() as u32).max(8);
     let cap_limit = green_cap.saturating_mul(64);
 
-    let config = |b: u32, g: u32| ClusterConfig {
-        baseline_count: b,
-        baseline_shape,
-        green_count: g,
-        green_shape,
+    // Verdict memo: the searches below revisit configurations (the
+    // g-search starts at `(b_min, green_cap)`, which the b-search has
+    // already proved feasible). Probes are deterministic, so a memoized
+    // verdict is the verdict a repeat probe would return.
+    let mut verdicts: BTreeMap<(u32, u32), bool> = BTreeMap::new();
+    let mut verdict = |b: u32, g: u32| {
+        *verdicts.entry((b, g)).or_insert_with(|| {
+            probe(ClusterConfig { baseline_count: b, baseline_shape, green_count: g, green_shape })
+        })
     };
 
     // Fewest baseline servers first (the residual pool for non-adopting
@@ -224,7 +286,7 @@ pub(crate) fn mixed_search(
     // the current green cap, the cap itself is the constraint (large
     // scaling factors, packing anomalies) — double it and retry.
     let mut b_min = loop {
-        let found = binary_search_min(0, n0, |b| probe(config(b, green_cap)));
+        let found = binary_search_min(0, n0, |b| verdict(b, green_cap));
         if let Some(b) = found {
             break b;
         }
@@ -237,7 +299,7 @@ pub(crate) fn mixed_search(
     // would free; keep doubling while that shrinks the baseline count.
     while b_min > 0 && green_cap < cap_limit {
         let doubled = green_cap.saturating_mul(2).min(cap_limit);
-        match binary_search_min(0, b_min - 1, |b| probe(config(b, doubled))) {
+        match binary_search_min(0, b_min - 1, |b| verdict(b, doubled)) {
             Some(b) => {
                 green_cap = doubled;
                 b_min = b;
@@ -246,13 +308,88 @@ pub(crate) fn mixed_search(
         }
     }
     // ...then the fewest GreenSKUs given that baseline pool. The cap
-    // itself was feasible with `b_min` in the searches above, and the
-    // probes are deterministic, so this search cannot come up empty —
-    // but report Infeasible rather than panicking if that invariant is
-    // ever broken.
-    let g_min = binary_search_min(0, green_cap, |g| probe(config(b_min, g)))
+    // itself was feasible with `b_min` in the searches above (its
+    // verdict comes from the memo), so this search cannot come up
+    // empty — but report Infeasible rather than panicking if that
+    // invariant is ever broken.
+    let g_min = binary_search_min(0, green_cap, |g| verdict(b_min, g))
         .ok_or(SizingError::Infeasible { bound: n0 + green_cap })?;
     Ok(ClusterPlan { baseline: b_min, green: g_min })
+}
+
+/// One sizing pass: the baseline-only search once over
+/// `prepared_baseline`, then the mixed search from its `n0` over
+/// `prepared`, each through a probe from `new_probe`. Every public
+/// prepared-plan sizing entry point is this pass (or its first half)
+/// over some engine's probe, so there is one copy of the search.
+pub(crate) fn size_pass<P: FnMut(&PreparedTrace, ClusterConfig) -> bool>(
+    prepared: &PreparedTrace,
+    prepared_baseline: &PreparedTrace,
+    baseline_shape: ServerShape,
+    green_shape: ServerShape,
+    new_probe: impl Fn() -> P,
+) -> Result<ClusterSizing, SizingError> {
+    let mut work = SizingWork::default();
+    // One probe (and simulator) per search: the baseline search's
+    // largest pools are freed before the mixed search grows its own,
+    // which keeps the peak memory of a pass at that of one search.
+    let n0 = baseline_pass(prepared_baseline, baseline_shape, &mut work, new_probe())?;
+    let mut probe = new_probe();
+    let plan = mixed_search(n0, baseline_shape, green_shape, |config| {
+        work.mixed_probes += 1;
+        probe(prepared, config)
+    })?;
+    Ok(ClusterSizing { baseline_only: n0, plan, work })
+}
+
+/// The baseline-only half of [`size_pass`], counted into `work`.
+pub(crate) fn baseline_pass(
+    prepared_baseline: &PreparedTrace,
+    baseline_shape: ServerShape,
+    work: &mut SizingWork,
+    mut probe: impl FnMut(&PreparedTrace, ClusterConfig) -> bool,
+) -> Result<u32, SizingError> {
+    work.baseline_searches += 1;
+    baseline_search(prepared_baseline.peak_demand(), baseline_shape, |config| {
+        work.baseline_probes += 1;
+        probe(prepared_baseline, config)
+    })
+}
+
+/// Right-sizes both clusters of one evaluation in one pass: the
+/// baseline-only search runs once, and its `n0` both is the result's
+/// [`ClusterSizing::baseline_only`] and seeds the mixed search.
+/// `prepared` carries the routed (adoption-transformed) requests,
+/// `prepared_baseline` the baseline-only ones, as for
+/// [`right_size_mixed_prepared`], which returns the same plan.
+///
+/// `shards > 1` probes under the sharded replay semantics (see
+/// [`crate::sharded`]), each probe on `workers` threads; the result is
+/// identical for any worker count. `shards <= 1` probes the unsharded
+/// indexed engine and ignores `workers`.
+///
+/// # Errors
+///
+/// Returns [`SizingError::Infeasible`] as the plain search does.
+#[allow(clippy::too_many_arguments)]
+pub fn right_size_prepared(
+    prepared: &PreparedTrace,
+    prepared_baseline: &PreparedTrace,
+    baseline_shape: ServerShape,
+    green_shape: ServerShape,
+    policy: PlacementPolicy,
+    faults: Option<&FaultInjection<'_>>,
+    shards: usize,
+    workers: usize,
+) -> Result<ClusterSizing, SizingError> {
+    let faults = faults.filter(|f| !f.model.is_none());
+    if shards > 1 {
+        let probe = || crate::sharded::sharded_probe(policy, faults, shards, workers);
+        size_pass(prepared, prepared_baseline, baseline_shape, green_shape, probe)
+    } else {
+        let probe = || prepared_probe(policy, faults, false);
+        size_pass(prepared, prepared_baseline, baseline_shape, green_shape, probe)
+    }
 }
 
 /// Right-sizes a baseline-only cluster: the minimum number of
@@ -336,13 +473,8 @@ fn baseline_only_prepared_impl(
     linear_selection: bool,
 ) -> Result<u32, SizingError> {
     let faults = faults.filter(|f| !f.model.is_none());
-    let mut sim = AllocationSim::new(ClusterConfig::baseline_only(0), policy);
-    if linear_selection {
-        sim = sim.with_linear_selection();
-    }
-    baseline_search(prepared.peak_demand(), baseline_shape, |config| {
-        feasible_prepared(&mut sim, prepared, config, faults)
-    })
+    let probe = prepared_probe(policy, faults, linear_selection);
+    baseline_pass(prepared, baseline_shape, &mut SizingWork::default(), probe)
 }
 
 /// Reference baseline-only sizing on the unprepared replay engine with
@@ -487,20 +619,9 @@ fn mixed_prepared_impl(
     linear_selection: bool,
 ) -> Result<ClusterPlan, SizingError> {
     let faults = faults.filter(|f| !f.model.is_none());
-    let n0 = baseline_only_prepared_impl(
-        prepared_baseline,
-        baseline_shape,
-        policy,
-        faults,
-        linear_selection,
-    )?;
-    let mut sim = AllocationSim::new(ClusterConfig::baseline_only(0), policy);
-    if linear_selection {
-        sim = sim.with_linear_selection();
-    }
-    mixed_search(n0, baseline_shape, green_shape, |config| {
-        feasible_prepared(&mut sim, prepared, config, faults)
-    })
+    let probe = || prepared_probe(policy, faults, linear_selection);
+    size_pass(prepared, prepared_baseline, baseline_shape, green_shape, probe)
+        .map(|sizing| sizing.plan)
 }
 
 /// Reference mixed sizing on the unprepared replay engine with linear
@@ -779,6 +900,62 @@ mod tests {
         )
         .unwrap();
         assert!(a.total() >= plain.total(), "faulted {a:?} vs plain {plain:?}");
+    }
+
+    #[test]
+    fn searches_pin_probe_counts_and_never_repeat_a_configuration() {
+        // Exact work counters on a small fixture: 24 adopting 8-core
+        // VMs size to n0 = 3 baseline servers, then to 0 + 2 GreenSKUs.
+        // A counting closure around the real probe records every
+        // configuration each search asks about.
+        let trace = concurrent_trace(24);
+        let transform = |v: &VmSpec| PlacementRequest::prefer_green(v, 1.25);
+        let prepared = PreparedTrace::new(&trace, &transform);
+        let prepared_baseline =
+            PreparedTrace::new(&trace, &|v: &VmSpec| PlacementRequest::baseline_only(v));
+        let (baseline_shape, green_shape) = (ServerShape::baseline_gen3(), ServerShape::greensku());
+        let mut probe = prepared_probe(PlacementPolicy::BestFit, None, false);
+        let mut probed = Vec::new();
+        let n0 = baseline_search(prepared_baseline.peak_demand(), baseline_shape, |config| {
+            probed.push((config.baseline_count, config.green_count));
+            probe(&prepared_baseline, config)
+        })
+        .unwrap();
+        let baseline_probes = probed.len();
+        let plan = mixed_search(n0, baseline_shape, green_shape, |config| {
+            probed.push((config.baseline_count, config.green_count));
+            probe(&prepared, config)
+        })
+        .unwrap();
+        assert_eq!((n0, plan), (3, ClusterPlan { baseline: 0, green: 2 }));
+        // Baseline: [3, 12] → 12, 7, 5, 4, 3.
+        assert_eq!(probed[..baseline_probes], [(12, 0), (7, 0), (5, 0), (4, 0), (3, 0)]);
+        let mixed = &probed[baseline_probes..];
+        let distinct: std::collections::BTreeSet<_> = mixed.iter().collect();
+        assert_eq!(distinct.len(), mixed.len(), "a configuration was probed twice: {mixed:?}");
+        // b-search at the green cap of 8 over [0, 3], then the
+        // g-search over [0, 8] at b = 0; its first probe, (0, 8), is a
+        // memo hit.
+        assert_eq!(mixed, [(3, 8), (1, 8), (0, 8), (0, 4), (0, 2), (0, 1)]);
+
+        // The one-pass entry point runs the same probes and reports
+        // them, with one baseline search.
+        let sizing = right_size_prepared(
+            &prepared,
+            &prepared_baseline,
+            baseline_shape,
+            green_shape,
+            PlacementPolicy::BestFit,
+            None,
+            1,
+            1,
+        )
+        .unwrap();
+        assert_eq!((sizing.baseline_only, sizing.plan), (n0, plan));
+        assert_eq!(
+            sizing.work,
+            SizingWork { baseline_searches: 1, baseline_probes: 5, mixed_probes: 6 }
+        );
     }
 
     #[test]

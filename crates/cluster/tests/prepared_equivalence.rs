@@ -13,15 +13,19 @@
 //! `FaultSummary` — across random traces, random cluster shapes,
 //! hand-built fault plans, and sampled AFR-model plans, and that the
 //! sizing searches built on top of them return identical cluster plans.
+//! The sizing probes' verdict-only replay
+//! (`AllocationSim::probe_prepared_faulted`) is pinned here to the full
+//! prepared replay it stands in for.
 
 use gsf_cluster::sizing::{
     right_size_baseline_only_faulted, right_size_baseline_only_unprepared,
-    right_size_mixed_faulted, right_size_mixed_unprepared, FaultInjection,
+    right_size_mixed_faulted, right_size_mixed_unprepared, right_size_prepared, AvailabilitySlo,
+    FaultInjection,
 };
-use gsf_maintenance::{FaultModel, PoolDevices};
+use gsf_maintenance::{FaultModel, FaultTopology, PoolDevices};
 use gsf_vmalloc::{
-    AllocationSim, ClusterConfig, FaultEvent, FaultKind, FaultPlan, FaultPool, PlacementPolicy,
-    PlacementRequest, PreparedTrace, ServerShape, SimOutcome,
+    AllocationSim, ClusterConfig, FaultEvent, FaultKind, FaultPlan, FaultPool, FaultSummary,
+    PlacementPolicy, PlacementRequest, PreparedTrace, ServerShape, SimOutcome,
 };
 use gsf_workloads::{ServerGeneration, Trace, VmEvent, VmEventKind, VmSpec};
 use proptest::prelude::*;
@@ -84,8 +88,78 @@ fn assert_bitwise(a: &SimOutcome, b: &SimOutcome) {
     );
 }
 
+/// `FaultSummary` equality plus bit-level equality on its floats.
+fn assert_summary_bitwise(a: &FaultSummary, b: &FaultSummary) {
+    assert_eq!(a, b);
+    let bits = |s: &FaultSummary| {
+        [
+            s.mem_lost_gb.to_bits(),
+            s.availability.vm_seconds_lost.to_bits(),
+            s.availability.vm_seconds_served.to_bits(),
+            s.availability.server_down_seconds.to_bits(),
+        ]
+    };
+    assert_eq!(bits(a), bits(b));
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// The verdict-only probe against the full prepared replay, over
+    /// random traces, cluster shapes (including too-small ones) and
+    /// fault plans (none, flat, and rack-correlated with repairs), with
+    /// and without an availability SLO: the probe is `None` exactly
+    /// when the full replay rejects an arrival; otherwise its summary
+    /// equals the full replay's bit for bit, and the fault-side
+    /// predicate (`FaultInjection::admits`) gives the same verdict.
+    #[test]
+    fn probe_verdict_matches_full_replay(
+        n_vms in 1usize..60,
+        baseline in 0u32..6,
+        green in 0u32..4,
+        seed in 0u64..400,
+        faults in 0u8..3,
+        model_seed in 0u64..64,
+        afr_scale in 1.0..60.0f64,
+        with_slo in 0u8..2,
+        slo_minutes in 0.0..600.0f64,
+    ) {
+        let trace = random_trace(n_vms, seed, 0.03);
+        let prepared = PreparedTrace::new(&trace, &mixed_transform);
+        let config = ClusterConfig::mixed(baseline, green);
+        let mut model = FaultModel::paper(model_seed);
+        model.afr_scale = afr_scale;
+        if faults == 2 {
+            model = model
+                .with_topology(FaultTopology::rack(3))
+                .and_then(|m| m.with_repair_days(10.0))
+                .unwrap();
+        }
+        let inj = FaultInjection {
+            model: &model,
+            baseline_devices: PoolDevices::baseline(),
+            green_devices: PoolDevices::greensku_full(),
+            slo: (with_slo == 1).then_some(AvailabilitySlo { max_vm_minutes_lost: slo_minutes }),
+        };
+        let plan =
+            if faults == 0 { FaultPlan::empty() } else { inj.plan_for(&config, trace.duration_s()) };
+        for policy in
+            [PlacementPolicy::BestFit, PlacementPolicy::FirstFit, PlacementPolicy::WorstFit]
+        {
+            let (full, full_summary) =
+                AllocationSim::new(config, policy).replay_prepared_faulted(&prepared, &plan);
+            // A reused simulator, as the sizing searches run the probe.
+            let mut sim = AllocationSim::new(ClusterConfig::mixed(3, 1), policy);
+            sim.replay_prepared(&prepared);
+            sim.reset(config);
+            let probe = sim.probe_prepared_faulted(&prepared, &plan);
+            prop_assert_eq!(probe.is_none(), !full.no_rejections());
+            if let Some(summary) = probe {
+                assert_summary_bitwise(&summary, &full_summary);
+                prop_assert_eq!(inj.admits(&summary), inj.admits(&full_summary));
+            }
+        }
+    }
 
     /// Fault-free: `replay` (prepared) == `replay_unprepared`.
     #[test]
@@ -204,6 +278,35 @@ proptest! {
                     faults,
                 )
             );
+            // The one-pass entry point: `n0` and the plan together.
+            let prepared = PreparedTrace::new(&trace, &mixed_transform);
+            let prepared_baseline =
+                PreparedTrace::new(&trace, &|vm: &VmSpec| PlacementRequest::baseline_only(vm));
+            let one_pass = right_size_prepared(
+                &prepared,
+                &prepared_baseline,
+                shape,
+                green,
+                PlacementPolicy::BestFit,
+                faults,
+                1,
+                1,
+            )
+            .map(|sizing| (sizing.baseline_only, sizing.plan));
+            let reference =
+                right_size_baseline_only_unprepared(&trace, shape, PlacementPolicy::BestFit, faults)
+                    .and_then(|n0| {
+                        right_size_mixed_unprepared(
+                            &trace,
+                            &mixed_transform,
+                            shape,
+                            green,
+                            PlacementPolicy::BestFit,
+                            faults,
+                        )
+                        .map(|plan| (n0, plan))
+                    });
+            prop_assert_eq!(one_pass, reference);
         }
     }
 }

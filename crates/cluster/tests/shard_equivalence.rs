@@ -17,10 +17,11 @@
 use gsf_cluster::sharded::{
     replay_sharded, right_size_baseline_only_prepared_sharded, right_size_mixed_prepared_sharded,
 };
+use gsf_cluster::sizing::right_size_prepared;
 use gsf_maintenance::{FaultModel, PoolDevices};
 use gsf_vmalloc::{
-    AllocationSim, ClusterConfig, FaultEvent, FaultKind, FaultPlan, FaultPool, PlacementPolicy,
-    PlacementRequest, PreparedTrace, ServerShape, ShardedSim, SimOutcome,
+    merge_probes, AllocationSim, ClusterConfig, FaultEvent, FaultKind, FaultPlan, FaultPool,
+    PlacementPolicy, PlacementRequest, PreparedTrace, ServerShape, ShardedSim, SimOutcome,
 };
 use gsf_workloads::{ServerGeneration, Trace, VmEvent, VmEventKind, VmSpec};
 use proptest::prelude::*;
@@ -146,6 +147,23 @@ proptest! {
                 assert_bitwise(&out, &exp_out);
                 assert_eq!(sum, exp_sum);
             }
+            // The per-shard verdict-only probes, merged in shard order:
+            // `None` exactly when the replay rejects, otherwise its
+            // summary (blast radius assigned from the global plan, as
+            // the serial reference does).
+            let mut sim = ShardedSim::new(config, policy, shards);
+            let probes: Vec<_> =
+                sim.shard_tasks(&prepared, &plan).iter_mut().map(|t| t.probe(&prepared)).collect();
+            let merged = merge_probes(probes).map(|mut s| {
+                if s.faults_applied() {
+                    s.availability.blast_radius_servers = plan.max_correlated_strikes();
+                }
+                s
+            });
+            prop_assert_eq!(merged.is_none(), !exp_out.no_rejections());
+            if let Some(summary) = merged {
+                prop_assert_eq!(summary, exp_sum);
+            }
         }
     }
 
@@ -240,6 +258,15 @@ proptest! {
                     ),
                     &plan_serial
                 );
+                // The one-pass entry point (unsharded engine at one
+                // shard) gives both answers at once.
+                let one_pass = right_size_prepared(
+                    &prepared_mixed, &prepared_baseline, shape, green,
+                    PlacementPolicy::BestFit, faults, shards, workers,
+                )
+                .map(|sizing| (sizing.baseline_only, sizing.plan));
+                let serial = n0_serial.clone().and_then(|n0| plan_serial.clone().map(|p| (n0, p)));
+                prop_assert_eq!(one_pass, serial);
             }
         }
     }

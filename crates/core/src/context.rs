@@ -26,7 +26,7 @@
 
 use crate::components::{CarbonComponent, DefaultCarbon};
 use gsf_carbon::{Assessment, CarbonError, ModelParams, ServerSpec};
-use gsf_cluster::sizing::ClusterPlan;
+use gsf_cluster::sizing::{ClusterPlan, SizingWork};
 use gsf_vmalloc::{FaultSummary, PlacementPolicy, PreparedTrace, ServerShape, SimOutcome};
 use gsf_workloads::{ServerGeneration, Trace};
 use parking_lot::Mutex;
@@ -221,7 +221,8 @@ pub struct SizingOutcome {
     pub faults: FaultSummary,
 }
 
-/// Cache effectiveness counters (see [`EvalContext::stats`]).
+/// Cache effectiveness and sizing work counters (see
+/// [`EvalContext::stats`]). Every counter is exact and clock-free.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheStats {
     /// Lookups answered from the cache.
@@ -242,6 +243,12 @@ pub struct CacheStats {
     pub prepared_misses: usize,
     /// Distinct prepared plans currently cached.
     pub prepared_entries: usize,
+    /// Baseline-only (`n0`) sizing searches run on sizing-memo
+    /// misses: one per miss, since one pass sizes both clusters.
+    pub baseline_searches: usize,
+    /// Feasibility probes those misses' sizing passes ran (baseline
+    /// and mixed searches together).
+    pub sizing_probes: usize,
 }
 
 impl CacheStats {
@@ -278,6 +285,8 @@ pub struct EvalContext {
     sizing_misses: AtomicUsize,
     prepared_hits: AtomicUsize,
     prepared_misses: AtomicUsize,
+    baseline_searches: AtomicUsize,
+    sizing_probes: AtomicUsize,
 }
 
 impl EvalContext {
@@ -505,7 +514,16 @@ impl EvalContext {
             prepared_hits: self.prepared_hits.load(Ordering::Relaxed),
             prepared_misses: self.prepared_misses.load(Ordering::Relaxed),
             prepared_entries: self.prepared.as_ref().map_or(0, |c| c.lock().len()),
+            baseline_searches: self.baseline_searches.load(Ordering::Relaxed),
+            sizing_probes: self.sizing_probes.load(Ordering::Relaxed),
         }
+    }
+
+    /// Adds one sizing pass's work counters to [`Self::stats`].
+    pub(crate) fn record_sizing_work(&self, work: SizingWork) {
+        self.baseline_searches.fetch_add(work.baseline_searches as usize, Ordering::Relaxed);
+        let probes = work.baseline_probes + work.mixed_probes;
+        self.sizing_probes.fetch_add(probes as usize, Ordering::Relaxed);
     }
 }
 

@@ -13,14 +13,8 @@ use gsf_carbon::{Assessment, ModelParams};
 use gsf_cluster::{
     buffer::GrowthBufferPolicy,
     savings::savings_fraction,
-    sharded::{
-        replay_sharded, right_size_baseline_only_prepared_sharded,
-        right_size_mixed_prepared_sharded,
-    },
-    sizing::{
-        right_size_baseline_only_prepared, right_size_mixed_prepared, AvailabilitySlo, ClusterPlan,
-        FaultInjection,
-    },
+    sharded::replay_sharded,
+    sizing::{right_size_prepared, AvailabilitySlo, ClusterPlan, FaultInjection},
 };
 use gsf_maintenance::{FaultModel, PoolDevices};
 use gsf_vmalloc::{
@@ -548,65 +542,26 @@ impl GsfPipeline {
         };
         let faults = (!self.config.faults.is_none()).then_some(&injection);
         let shards = self.config.shards;
-        if shards > 1 {
-            // Sharded semantics: same searches, sharded probes,
-            // per-shard replay on worker threads. The result is
-            // deterministic for any worker count; only `shards`
-            // changes what is computed.
-            let workers = gsf_cluster::parallel::default_workers();
-            let n0 = right_size_baseline_only_prepared_sharded(
-                prepared_baseline,
-                baseline_shape,
-                self.config.policy,
-                faults,
-                shards,
-                workers,
-            )?;
-            let plan = right_size_mixed_prepared_sharded(
-                prepared,
-                prepared_baseline,
-                baseline_shape,
-                green_shape,
-                self.config.policy,
-                faults,
-                shards,
-                workers,
-            )?;
-            let plan_buffered =
-                self.config.buffer.apply(&plan, baseline_shape.cores, green_shape.cores);
-            let config = ClusterConfig {
-                baseline_count: plan_buffered.baseline,
-                baseline_shape,
-                green_count: plan_buffered.green,
-                green_shape,
-            };
-            let mut sim = ShardedSim::new(config, self.config.policy, shards);
-            let fault_plan = match faults {
-                None => FaultPlan::empty(),
-                Some(inj) => inj.plan_for(&config, duration_s),
-            };
-            let (replay, fault_summary) = replay_sharded(&mut sim, prepared, &fault_plan, workers);
-            return Ok(crate::context::SizingOutcome {
-                baseline_only: n0,
-                plan,
-                replay,
-                faults: fault_summary,
-            });
-        }
-        let n0 = right_size_baseline_only_prepared(
-            prepared_baseline,
-            baseline_shape,
-            self.config.policy,
-            faults,
-        )?;
-        let plan = right_size_mixed_prepared(
+        // Sharded semantics (`shards > 1`): the same searches on
+        // sharded probes, with per-shard replay on worker threads. The
+        // result is deterministic for any worker count; only `shards`
+        // changes what is computed.
+        let workers = if shards > 1 { gsf_cluster::parallel::default_workers() } else { 1 };
+        // One sizing pass: the baseline-only search runs once, and its
+        // `n0` is both the reported baseline and the mixed search's
+        // starting point.
+        let sizing = right_size_prepared(
             prepared,
             prepared_baseline,
             baseline_shape,
             green_shape,
             self.config.policy,
             faults,
+            shards,
+            workers,
         )?;
+        self.ctx.record_sizing_work(sizing.work);
+        let plan = sizing.plan;
         let plan_buffered =
             self.config.buffer.apply(&plan, baseline_shape.cores, green_shape.cores);
         // Final replay on the buffered mixed cluster for packing stats
@@ -617,15 +572,25 @@ impl GsfPipeline {
             green_count: plan_buffered.green,
             green_shape,
         };
-        let mut sim = AllocationSim::new(config, self.config.policy);
-        let (replay, fault_summary) = match faults {
-            None => (sim.replay_prepared(prepared), FaultSummary::default()),
-            Some(inj) => {
-                let fault_plan = inj.plan_for(&config, duration_s);
-                sim.replay_prepared_faulted(prepared, &fault_plan)
-            }
+        // An empty plan replays bit-identically to a fault-free replay,
+        // with a default summary.
+        let fault_plan = match faults {
+            None => FaultPlan::empty(),
+            Some(inj) => inj.plan_for(&config, duration_s),
         };
-        Ok(crate::context::SizingOutcome { baseline_only: n0, plan, replay, faults: fault_summary })
+        let (replay, fault_summary) = if shards > 1 {
+            let mut sim = ShardedSim::new(config, self.config.policy, shards);
+            replay_sharded(&mut sim, prepared, &fault_plan, workers)
+        } else {
+            AllocationSim::new(config, self.config.policy)
+                .replay_prepared_faulted(prepared, &fault_plan)
+        };
+        Ok(crate::context::SizingOutcome {
+            baseline_only: sizing.baseline_only,
+            plan,
+            replay,
+            faults: fault_summary,
+        })
     }
 
     /// Maintenance, buffering, and emission accounting downstream of
@@ -818,6 +783,39 @@ mod tests {
         assert!(outcome.adoption_rate > 0.5);
         assert!(outcome.replay.no_rejections());
         assert!(outcome.green_per_core < outcome.baseline_per_core);
+    }
+
+    #[test]
+    fn one_baseline_search_per_evaluation() {
+        // Deterministic work counters, no clock: a cold evaluation runs
+        // one sizing pass (one baseline-only search, whose `n0` also
+        // seeds the mixed search) on the unsharded and the sharded
+        // path alike, and a sizing-memo hit runs none.
+        let trace = small_trace();
+        let n0 = gsf_cluster::sizing::right_size_baseline_only(
+            &trace,
+            ServerShape::baseline_gen3(),
+            PlacementPolicy::BestFit,
+        )
+        .unwrap();
+        for shards in [1usize, 2] {
+            let pipeline = GsfPipeline::new(PipelineConfig { shards, ..PipelineConfig::default() });
+            let outcome = pipeline.evaluate(&GreenSkuDesign::full(), &trace).unwrap();
+            let cold = pipeline.context().stats();
+            assert_eq!((cold.sizing_misses, cold.baseline_searches), (1, 1), "shards={shards}");
+            // Pinned: a change here is a change to the searches.
+            assert_eq!(cold.sizing_probes, 22, "shards={shards}");
+            if shards == 1 {
+                assert_eq!(outcome.baseline_only_servers, n0);
+            }
+            pipeline.evaluate(&GreenSkuDesign::full(), &trace).unwrap();
+            let warm = pipeline.context().stats();
+            assert_eq!(warm.sizing_hits, 1);
+            assert_eq!(
+                (warm.baseline_searches, warm.sizing_probes),
+                (cold.baseline_searches, cold.sizing_probes)
+            );
+        }
     }
 
     #[test]

@@ -8,14 +8,19 @@
 //! — independent of the event count. So the pin is: a warmed replay of
 //! a 10×-larger trace allocates *exactly* as much as the small one
 //! (zero marginal allocations per event), and that shared constant is
-//! small in absolute terms.
+//! small in absolute terms. The sizing searches' verdict-only probe
+//! (`probe_prepared_faulted`) runs the same loop without the usage
+//! ledger, so the same pin holds for it, at a constant no larger than
+//! the full replay's.
 //!
 //! This test must be the only `#[test]` in its binary: the counting
 //! allocator is process-global, and a concurrently running test would
 //! perturb the counts.
 
 use gsf_perf::alloc_count::CountingAllocator;
-use gsf_vmalloc::{AllocationSim, ClusterConfig, PlacementPolicy, PlacementRequest, PreparedTrace};
+use gsf_vmalloc::{
+    AllocationSim, ClusterConfig, FaultPlan, PlacementPolicy, PlacementRequest, PreparedTrace,
+};
 use gsf_workloads::{ServerGeneration, Trace, VmEvent, VmEventKind, VmSpec};
 
 #[global_allocator]
@@ -95,5 +100,27 @@ fn steady_state_replay_allocates_zero_per_event() {
     assert!(
         small_allocs <= 2 * u64::from(APPS),
         "per-replay allocation constant regressed: {small_allocs}"
+    );
+
+    // The verdict-only probe on the same warmed simulator.
+    let no_faults = FaultPlan::empty();
+    let mut measure_probe = |prepared: &PreparedTrace| -> u64 {
+        let before = ALLOC.allocations();
+        let verdict = sim.probe_prepared_faulted(prepared, &no_faults);
+        let allocated = ALLOC.allocations() - before;
+        assert!(verdict.is_some(), "fixture must not reject");
+        sim.reset(config);
+        allocated
+    };
+    let small_probe = measure_probe(&prepared_small);
+    let large_probe = measure_probe(&prepared_large);
+    assert_eq!(
+        small_probe, large_probe,
+        "probe allocations grew with the event count \
+         (small trace: {small_probe}, 10x trace: {large_probe})"
+    );
+    assert!(
+        small_probe <= small_allocs,
+        "a probe allocated more than a full replay: {small_probe} > {small_allocs}"
     );
 }

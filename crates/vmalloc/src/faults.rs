@@ -345,6 +345,20 @@ pub struct FaultSummary {
 }
 
 impl FaultSummary {
+    /// Adds another replay's counts to this one — the sharded replay's
+    /// fixed-order reduction (see [`crate::shard`]).
+    pub(crate) fn merge(&mut self, other: &Self) {
+        self.full_failures += other.full_failures;
+        self.partial_degrades += other.partial_degrades;
+        self.revivals += other.revivals;
+        self.displaced += other.displaced;
+        self.evacuated += other.evacuated;
+        self.evacuation_failures += other.evacuation_failures;
+        self.cores_lost += other.cores_lost;
+        self.mem_lost_gb += other.mem_lost_gb;
+        self.availability.merge(&other.availability);
+    }
+
     /// Whether every displaced VM found a new home.
     pub fn all_evacuated(&self) -> bool {
         self.evacuation_failures == 0

@@ -38,6 +38,8 @@ pub use metrics::{PackingMetrics, PoolMetrics};
 pub use policy::PlacementPolicy;
 pub use prepared::{PreparedTrace, PreparedTraceBuilder};
 pub use server::ServerState;
-pub use shard::{merge_outcomes, ShardPlan, ShardTask, ShardedSim, SHARD_ROUTING_VERSION};
+pub use shard::{
+    merge_outcomes, merge_probes, ShardPlan, ShardTask, ShardedSim, SHARD_ROUTING_VERSION,
+};
 pub use simulator::{AllocationSim, PlacementRequest, SimOutcome, TargetPool, VmTransform};
 pub use usage::UsageLedger;

@@ -40,7 +40,7 @@ use crate::faults::{FaultPlan, FaultPool, FaultSummary};
 use crate::policy::PlacementPolicy;
 use crate::prepared::{PreparedEvent, PreparedTrace};
 use crate::server::mem_fits;
-use crate::simulator::{AllocationSim, PlacementRequest, SimOutcome, TargetPool};
+use crate::simulator::{AllocationSim, PlacementRequest, ReplayMode, SimOutcome, TargetPool};
 
 /// Version tag of the routing policy below; cache keys over sharded
 /// evaluations include it so a future routing change invalidates them.
@@ -251,8 +251,41 @@ impl ShardTask<'_> {
     /// Replays this shard's slice. `prepared` must be the trace the
     /// task was built from.
     pub fn run(&mut self, prepared: &PreparedTrace) -> (SimOutcome, FaultSummary) {
-        self.sim.replay_prepared_events(prepared, &self.events, &self.faults)
+        self.sim.replay_prepared_events(prepared, &self.events, &self.faults, ReplayMode::Full)
     }
+
+    /// The verdict-only replay of this shard's slice (see
+    /// [`AllocationSim::probe_prepared_faulted`]): `None` at the
+    /// shard's first rejected arrival, otherwise its share of the
+    /// summary, bit-identical to [`Self::run`]'s. Merge the shards'
+    /// verdicts with [`merge_probes`].
+    pub fn probe(&mut self, prepared: &PreparedTrace) -> Option<FaultSummary> {
+        let (outcome, summary) = self.sim.replay_prepared_events(
+            prepared,
+            &self.events,
+            &self.faults,
+            ReplayMode::Verdict,
+        );
+        outcome.no_rejections().then_some(summary)
+    }
+}
+
+/// Merges per-shard probe verdicts in the order given (callers pass
+/// ascending shard order), as [`merge_outcomes`] merges the summaries:
+/// `None` when any shard rejected (a rejection anywhere rejects the
+/// merged replay) or when `parts` is empty. Like the full merge, this
+/// leaves the blast radius for the caller to assign from the global
+/// plan.
+pub fn merge_probes(parts: impl IntoIterator<Item = Option<FaultSummary>>) -> Option<FaultSummary> {
+    let mut merged: Option<FaultSummary> = None;
+    for part in parts {
+        let part = part?;
+        match merged.as_mut() {
+            None => merged = Some(part),
+            Some(summary) => summary.merge(&part),
+        }
+    }
+    merged
 }
 
 /// Merges per-shard results in the order given (callers pass ascending
@@ -273,15 +306,7 @@ pub fn merge_outcomes(parts: Vec<(SimOutcome, FaultSummary)>) -> (SimOutcome, Fa
         out.green_overflow += o.green_overflow;
         out.metrics.merge(&o.metrics);
         out.usage.merge(&o.usage);
-        summary.full_failures += s.full_failures;
-        summary.partial_degrades += s.partial_degrades;
-        summary.revivals += s.revivals;
-        summary.displaced += s.displaced;
-        summary.evacuated += s.evacuated;
-        summary.evacuation_failures += s.evacuation_failures;
-        summary.cores_lost += s.cores_lost;
-        summary.mem_lost_gb += s.mem_lost_gb;
-        summary.availability.merge(&s.availability);
+        summary.merge(&s);
     }
     (out, summary)
 }

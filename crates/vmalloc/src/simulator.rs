@@ -123,6 +123,32 @@ struct ActiveVm {
     app_index: u16,
 }
 
+impl ActiveVm {
+    /// Charges `dwell` seconds of this residency to `usage`, on the
+    /// pool the VM ran on.
+    fn charge(&self, usage: &mut UsageLedger, dwell: f64) {
+        match self.placement {
+            Placement::Baseline(_) => usage.record_baseline(self.app_index, self.cores, dwell),
+            Placement::Green(_) => usage.record_green(self.app_index, self.cores, dwell),
+        }
+    }
+}
+
+/// How much one pass of the prepared event loop computes. Private: the
+/// full replays and [`AllocationSim::probe_prepared_faulted`] are the
+/// two public faces of the same loop.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum ReplayMode {
+    /// Every event to the horizon, with packing snapshots and the
+    /// usage ledger: a complete [`SimOutcome`].
+    Full,
+    /// The feasibility verdict only. Stops at the first rejected
+    /// arrival, and takes no packing snapshots and no usage records.
+    /// Neither feeds the [`FaultSummary`] or a placement decision, so
+    /// the verdict and the summary match a full replay bit for bit.
+    Verdict,
+}
+
 /// Result of replaying a trace.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SimOutcome {
@@ -332,6 +358,32 @@ impl AllocationSim {
         self.replay_prepared_faulted(&prepared, plan)
     }
 
+    /// The sizing searches' feasibility probe: replays `prepared` under
+    /// `plan` and returns `None` at the first rejected arrival, or the
+    /// [`FaultSummary`] when every arrival was placed. The verdict and
+    /// the summary are bit-identical to [`Self::replay_prepared_faulted`]
+    /// (`None` exactly when its outcome has a rejection); the probe only
+    /// skips what neither reads: the events after a rejection, the
+    /// packing snapshots and the usage ledger.
+    ///
+    /// Like the full replays, leaves the simulator holding the state at
+    /// the point it stopped; call [`Self::reset`] before replaying again.
+    pub fn probe_prepared_faulted(
+        &mut self,
+        prepared: &PreparedTrace,
+        plan: &FaultPlan,
+    ) -> Option<FaultSummary> {
+        let (outcome, mut summary) =
+            self.replay_prepared_events(prepared, prepared.events(), plan, ReplayMode::Verdict);
+        if !outcome.no_rejections() {
+            return None;
+        }
+        if summary.faults_applied() {
+            summary.availability.blast_radius_servers = plan.max_correlated_strikes();
+        }
+        Some(summary)
+    }
+
     /// Replays a prepared plan with no faults.
     pub fn replay_prepared(&mut self, prepared: &PreparedTrace) -> SimOutcome {
         self.replay_prepared_faulted(prepared, &FaultPlan::empty()).0
@@ -365,7 +417,8 @@ impl AllocationSim {
         prepared: &PreparedTrace,
         plan: &FaultPlan,
     ) -> (SimOutcome, FaultSummary) {
-        let (outcome, mut summary) = self.replay_prepared_events(prepared, prepared.events(), plan);
+        let (outcome, mut summary) =
+            self.replay_prepared_events(prepared, prepared.events(), plan, ReplayMode::Full);
         if summary.faults_applied() {
             summary.availability.blast_radius_servers = plan.max_correlated_strikes();
         }
@@ -379,22 +432,30 @@ impl AllocationSim {
     /// against the full prepared trace either way, so the horizon
     /// settlement walks the global ascending-id order and simply skips
     /// VMs this replay never placed.
+    ///
+    /// In [`ReplayMode::Verdict`] the returned outcome is only a tally:
+    /// it stops at the first rejection (`rejected == 1`, the summary
+    /// then partial) and carries no packing metrics or usage.
     pub(crate) fn replay_prepared_events(
         &mut self,
         prepared: &PreparedTrace,
         events: &[PreparedEvent],
         plan: &FaultPlan,
+        mode: ReplayMode,
     ) -> (SimOutcome, FaultSummary) {
+        let full = mode == ReplayMode::Full;
         let mut placements = std::mem::take(&mut self.scratch.placements);
         placements.clear();
         placements.resize(prepared.vm_count(), None);
-        let mut usage = UsageLedger::new();
+        let mut ledger = UsageLedger::new();
+        let mut usage = full.then_some(&mut ledger);
         let mut metrics = PackingMetrics::new();
         let mut rejected = 0usize;
         let mut placed_green = 0usize;
         let mut placed_baseline = 0usize;
         let mut green_overflow = 0usize;
-        let mut next_snapshot = self.snapshot_interval_s;
+        // A verdict pass never comes due for a snapshot.
+        let mut next_snapshot = if full { self.snapshot_interval_s } else { f64::INFINITY };
         let mut summary = FaultSummary::default();
         let mut runtime = FaultRuntime::new();
         let faults = plan.events();
@@ -420,7 +481,7 @@ impl AllocationSim {
                     plan.max_evac_passes(),
                     prepared,
                     &mut placements,
-                    &mut usage,
+                    usage.as_deref_mut(),
                     &mut summary,
                     &mut runtime,
                 );
@@ -453,7 +514,25 @@ impl AllocationSim {
                                 app_index: vm.app_index,
                             });
                         }
-                        None => rejected += 1,
+                        None => {
+                            rejected += 1;
+                            if !full {
+                                // One rejection settles the verdict.
+                                placements.clear();
+                                self.scratch.placements = placements;
+                                return (
+                                    SimOutcome {
+                                        rejected,
+                                        placed_green,
+                                        placed_baseline,
+                                        green_overflow,
+                                        metrics,
+                                        usage: ledger,
+                                    },
+                                    summary,
+                                );
+                            }
+                        }
                     }
                 }
                 VmEventKind::Departure => {
@@ -464,13 +543,8 @@ impl AllocationSim {
                         let dwell = event.time_s - active.arrival_s;
                         runtime.served_s += dwell;
                         self.remove_placed(active.placement, vm.id);
-                        match active.placement {
-                            Placement::Baseline(_) => {
-                                usage.record_baseline(active.app_index, active.cores, dwell);
-                            }
-                            Placement::Green(_) => {
-                                usage.record_green(active.app_index, active.cores, dwell);
-                            }
+                        if let Some(usage) = usage.as_deref_mut() {
+                            active.charge(usage, dwell);
                         }
                     } else if let Some(since) = runtime.pending.remove(&vm.id) {
                         summary.evacuation_failures += 1;
@@ -493,7 +567,7 @@ impl AllocationSim {
                 plan.max_evac_passes(),
                 prepared,
                 &mut placements,
-                &mut usage,
+                usage.as_deref_mut(),
                 &mut summary,
                 &mut runtime,
             );
@@ -502,21 +576,18 @@ impl AllocationSim {
         // Interim snapshots run to the horizon even when the trace tail
         // is event-free, then the horizon itself is sampled once.
         self.drain_snapshots(&mut metrics, &mut next_snapshot, duration_s, duration_s);
-        metrics.snapshot(&self.baseline, &self.green, &self.arena);
+        if full {
+            metrics.snapshot(&self.baseline, &self.green, &self.arena);
+        }
         // VMs still resident at the horizon are charged to the end of
         // the trace, in ascending VM-id order so the per-app float
-        // accumulation is reproducible.
+        // accumulation (and the served-time sum) is reproducible.
         for &slot in prepared.slots_by_id() {
             if let Some(active) = placements[slot as usize].take() {
                 let dwell = duration_s - active.arrival_s;
                 runtime.served_s += dwell;
-                match active.placement {
-                    Placement::Baseline(_) => {
-                        usage.record_baseline(active.app_index, active.cores, dwell);
-                    }
-                    Placement::Green(_) => {
-                        usage.record_green(active.app_index, active.cores, dwell);
-                    }
+                if let Some(usage) = usage.as_deref_mut() {
+                    active.charge(usage, dwell);
                 }
             }
         }
@@ -524,7 +595,14 @@ impl AllocationSim {
         self.scratch.placements = placements;
         Self::settle_fault_runtime(&mut summary, &runtime, duration_s);
         (
-            SimOutcome { rejected, placed_green, placed_baseline, green_overflow, metrics, usage },
+            SimOutcome {
+                rejected,
+                placed_green,
+                placed_baseline,
+                green_overflow,
+                metrics,
+                usage: ledger,
+            },
             summary,
         )
     }
@@ -653,14 +731,7 @@ impl AllocationSim {
                         let dwell = event.time_s - active.arrival_s;
                         runtime.served_s += dwell;
                         self.remove_placed(active.placement, vm.id);
-                        match active.placement {
-                            Placement::Baseline(_) => {
-                                usage.record_baseline(active.app_index, active.cores, dwell);
-                            }
-                            Placement::Green(_) => {
-                                usage.record_green(active.app_index, active.cores, dwell);
-                            }
-                        }
+                        active.charge(&mut usage, dwell);
                     } else if let Some(since) = runtime.pending.remove(&vm.id) {
                         summary.evacuation_failures += 1;
                         summary.availability.vm_seconds_lost += event.time_s - since;
@@ -700,14 +771,7 @@ impl AllocationSim {
         for (_, active) in placements {
             let dwell = duration_s - active.arrival_s;
             runtime.served_s += dwell;
-            match active.placement {
-                Placement::Baseline(_) => {
-                    usage.record_baseline(active.app_index, active.cores, dwell);
-                }
-                Placement::Green(_) => {
-                    usage.record_green(active.app_index, active.cores, dwell);
-                }
-            }
+            active.charge(&mut usage, dwell);
         }
         Self::settle_fault_runtime(&mut summary, &runtime, duration_s);
         if summary.faults_applied() {
@@ -813,7 +877,7 @@ impl AllocationSim {
         max_passes: u32,
         prepared: &PreparedTrace,
         placements: &mut [Option<ActiveVm>],
-        usage: &mut UsageLedger,
+        usage: Option<&mut UsageLedger>,
         summary: &mut FaultSummary,
         runtime: &mut FaultRuntime,
     ) {
@@ -845,7 +909,7 @@ impl AllocationSim {
         max_passes: u32,
         prepared: &PreparedTrace,
         placements: &mut [Option<ActiveVm>],
-        usage: &mut UsageLedger,
+        mut usage: Option<&mut UsageLedger>,
         summary: &mut FaultSummary,
         runtime: &mut FaultRuntime,
         pending: &mut Vec<u64>,
@@ -880,13 +944,8 @@ impl AllocationSim {
             if let Some(active) = placements[slot as usize].take() {
                 let dwell = fault.time_s - active.arrival_s;
                 runtime.served_s += dwell;
-                match active.placement {
-                    Placement::Baseline(_) => {
-                        usage.record_baseline(active.app_index, active.cores, dwell);
-                    }
-                    Placement::Green(_) => {
-                        usage.record_green(active.app_index, active.cores, dwell);
-                    }
+                if let Some(usage) = usage.as_deref_mut() {
+                    active.charge(usage, dwell);
                 }
             }
         }
@@ -1059,14 +1118,7 @@ impl AllocationSim {
             if let Some(active) = placements.remove(id) {
                 let dwell = fault.time_s - active.arrival_s;
                 runtime.served_s += dwell;
-                match active.placement {
-                    Placement::Baseline(_) => {
-                        usage.record_baseline(active.app_index, active.cores, dwell);
-                    }
-                    Placement::Green(_) => {
-                        usage.record_green(active.app_index, active.cores, dwell);
-                    }
-                }
+                active.charge(usage, dwell);
             }
         }
         // Bounded re-placement: each pass retries the still-homeless

@@ -398,7 +398,14 @@ impl<R: BufRead> TraceChunkReader<R> {
         let n_vms = read_u32(&mut self.input)? as usize;
         let n_events = read_u32(&mut self.input)? as usize;
         let expect_hash = (read_u64(&mut self.input)?, read_u64(&mut self.input)?);
-        let mut vms = Vec::with_capacity(n_vms);
+        // The counts are untrusted until the records behind them have
+        // been read: pre-allocate at most one default-size chunk and
+        // let a larger (or corrupt) count grow the vectors as records
+        // actually arrive, so a bad header ends in a read error rather
+        // than a multi-GB allocation.
+        let vm_capacity = n_vms.min(DEFAULT_CHUNK_EVENTS);
+        let event_capacity = n_events.min(DEFAULT_CHUNK_EVENTS);
+        let mut vms = Vec::with_capacity(vm_capacity);
         for _ in 0..n_vms {
             let id = read_u64(&mut self.input)?;
             let cores = read_u32(&mut self.input)?;
@@ -428,7 +435,7 @@ impl<R: BufRead> TraceChunkReader<R> {
             self.hasher.push_vm(&vm);
             vms.push(vm);
         }
-        let mut times = Vec::with_capacity(n_events);
+        let mut times = Vec::with_capacity(event_capacity);
         for _ in 0..n_events {
             let t = f64::from_bits(read_u64(&mut self.input)?);
             if !t.is_finite() {
@@ -439,7 +446,7 @@ impl<R: BufRead> TraceChunkReader<R> {
             }
             times.push(t);
         }
-        let mut kinds = Vec::with_capacity(n_events);
+        let mut kinds = Vec::with_capacity(event_capacity);
         for _ in 0..n_events {
             kinds.push(match read_u8(&mut self.input)? {
                 0 => VmEventKind::Arrival,
@@ -447,7 +454,7 @@ impl<R: BufRead> TraceChunkReader<R> {
                 d => return Err(TraceCodecError::BadDiscriminant(d).into()),
             });
         }
-        let mut events = Vec::with_capacity(n_events);
+        let mut events = Vec::with_capacity(event_capacity);
         for i in 0..n_events {
             let slot = read_u32(&mut self.input)?;
             let Some(&vm_id) = self.ids.get(slot as usize) else {
@@ -702,6 +709,25 @@ mod tests {
                 }
             };
             assert!(result.is_err(), "cut at {cut} should fail");
+        }
+    }
+
+    #[test]
+    fn oversized_header_counts_end_in_a_typed_error() {
+        // Chunk-header counts are untrusted. All-ones `n_vms` once
+        // pre-allocated u32::MAX VM records (~172 GB) and aborted the
+        // process; the read must instead fail on the missing records.
+        let buf = encode_chunked(&sample_trace(), 2);
+        // Header is 14 bytes, then the chunk tag: `n_vms` is bytes
+        // 15..19 and `n_events` bytes 19..23.
+        for field in [15..19, 19..23, 15..23] {
+            let mut corrupt = buf.clone();
+            corrupt[field.clone()].fill(0xFF);
+            let err = decode_chunks(&corrupt[..]).unwrap_err();
+            assert!(
+                matches!(err, TraceStreamError::Io(_) | TraceStreamError::Codec(_)),
+                "{field:?}: {err}"
+            );
         }
     }
 
