@@ -38,17 +38,23 @@ cargo test -q --workspace
 cargo test -q -p gsf-core --test fault_determinism
 # Replay-engine equivalence is equally hard: the prepared engine every
 # sizing probe and sweep point runs on must stay bit-identical to the
-# unprepared reference engine, faulted and fault-free.
+# unprepared reference engine, faulted and fault-free, and its
+# verdict-only probe to its full replay. Every prepared sizing entry
+# point (right_size_prepared and its baseline-only and mixed halves)
+# must return what the reference sizing right_size_unprepared returns
+# (unprepared engine, linear selection), work counters included, for
+# all three policies.
 cargo test -q -p gsf-cluster --test prepared_equivalence
 # Placement-index equivalence: indexed server selection must stay
-# bit-identical to the linear reference scan across policies, fault
-# plans, reset reuse, and both sizing searches.
+# bit-identical to the linear reference scan on replays across
+# policies, fault plans and reset reuse.
 cargo test -q -p gsf-cluster --test index_equivalence
 # Sharded-replay equivalence: the parallel shard driver must stay
 # bit-identical to its serial reference for every worker count (and
 # one shard must stay bit-identical to the unsharded engine), across
-# policies, shard-boundary fault plans, reset reuse, and the sharded
-# sizing searches.
+# policies, shard-boundary fault plans and reset reuse, and the sharded
+# sizing pass of right_size_prepared must not depend on the worker
+# count.
 cargo test -q -p gsf-cluster --test shard_equivalence
 # Availability-layer equivalence: flat topology + repairs off must stay
 # bit-identical to the pre-repair model (signature, plans, replays,
@@ -73,6 +79,11 @@ cargo test -q -p gsf-perf --test zero_alloc_replay
 # pulls in the fleet-scale 24k-VM fixture, which only runs here in
 # release (the earlier `cargo build --release` makes this cheap).
 cargo test -q --release -p gsf-core --test streamed_equivalence -- --include-ignored
+# The benchmark (perfbench/, a package outside the workspace) builds
+# against the crates it measures: run every workload once on tiny
+# inputs, traced and untraced, so a change to anything it imports fails
+# here rather than only in a benchmark run.
+python3 perfbench/run.py smoke
 # Docs must build clean: public-API rustdoc (broken intra-doc links,
 # malformed HTML) is a release gate, not a warning.
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -q

@@ -3,9 +3,11 @@
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use gsf_bench::{bench_seeds, bench_trace, bench_trace_large};
-use gsf_cluster::sizing::right_size_baseline_only;
+use gsf_cluster::sizing::right_size_baseline_only_prepared;
 use gsf_maintenance::{FailureSim, FailureSimParams};
-use gsf_vmalloc::{AllocationSim, ClusterConfig, PlacementPolicy, PlacementRequest, ServerShape};
+use gsf_vmalloc::{
+    AllocationSim, ClusterConfig, PlacementPolicy, PlacementRequest, PreparedTrace, ServerShape,
+};
 use gsf_workloads::{Trace, TraceGenerator, TraceParams, VmSpec};
 
 fn baseline_transform(vm: &VmSpec) -> PlacementRequest {
@@ -24,16 +26,19 @@ fn fig9_replay(c: &mut Criterion) {
     });
 }
 
-/// Fig. 9/10 outer loop: the right-sizing binary search.
+/// Fig. 9/10 outer loop: the baseline-only right-sizing binary search,
+/// plan building included.
 fn fig9_sizing_search(c: &mut Criterion) {
     let trace = bench_trace_large();
     c.bench_function("fig9_right_size_baseline", |b| {
         b.iter(|| {
+            let prepared = PreparedTrace::new(&trace, &baseline_transform);
             black_box(
-                right_size_baseline_only(
-                    &trace,
+                right_size_baseline_only_prepared(
+                    &prepared,
                     ServerShape::baseline_gen3(),
                     PlacementPolicy::BestFit,
+                    None,
                 )
                 .unwrap(),
             )

@@ -19,11 +19,11 @@ pub enum ArgError {
     MissingValue(String),
     /// A positional argument where a flag was expected.
     UnexpectedPositional(String),
-    /// A flag value failed to parse.
+    /// A flag value failed to parse, or is out of the flag's range.
     BadValue {
         /// The flag.
         flag: String,
-        /// The unparseable text.
+        /// The rejected text.
         value: String,
     },
 }
@@ -37,7 +37,7 @@ impl fmt::Display for ArgError {
                 write!(f, "unexpected argument `{arg}` (flags are --key value)")
             }
             ArgError::BadValue { flag, value } => {
-                write!(f, "cannot parse `{value}` for --{flag}")
+                write!(f, "invalid value `{value}` for --{flag}")
             }
         }
     }

@@ -187,7 +187,7 @@ pub fn help() -> String {
          \u{20}  defer     --region NAME [--runtime H] [--cores N]\n\
          \u{20}  faults    --design NAME [--afr-scale X] [--fip F] [--years Y] [--fault-seed S]\n\
          \u{20}            [--topology N] [--domain-rate R] [--repair-days D] [--slo M] [--format text|json]\n\
-         \u{20}  fleet     --design NAME [--traces N] [--workers N] [--shards K] [--hours H] [--seed S]\n\
+         \u{20}  fleet     --design NAME [--traces N] [--workers N] [--shards K<=1024] [--hours H] [--seed S]\n\
          \u{20}            [--trace-file FILE [--stream]]   evaluate a trace file (chunked or legacy)\n\nSKUs: ",
     );
     out.push_str(&SKU_NAMES.join(", "));
@@ -775,11 +775,9 @@ fn faults_cmd(args: &Args) -> Result<String, CliError> {
 /// materialized, so multi-week fleet traces evaluate in bounded
 /// memory. Without it, either format is loaded in memory first; the
 /// two paths are bit-identical (see the `streamed_equivalence` suite).
-fn fleet_file_cmd(args: &Args, path: &str) -> Result<String, CliError> {
+fn fleet_file_cmd(args: &Args, path: &str, shards: usize) -> Result<String, CliError> {
     let design = design_by_name(args.get_or("design", "full"))?;
-    let shards: usize = args.get_num("shards", 1usize)?;
-    let pipeline =
-        GsfPipeline::new(PipelineConfig { shards: shards.max(1), ..PipelineConfig::default() });
+    let pipeline = GsfPipeline::new(PipelineConfig { shards, ..PipelineConfig::default() });
     let (o, vms, mode) = if args.get_bool("stream") {
         let file = std::fs::File::open(path)?;
         let mut reader = TraceChunkReader::new(std::io::BufReader::new(file))?;
@@ -805,15 +803,32 @@ fn fleet_file_cmd(args: &Args, path: &str) -> Result<String, CliError> {
     ))
 }
 
+/// Largest `--shards` value `gsf fleet` accepts. Every shard is a
+/// simulator of its own, all built before the first sizing probe, so
+/// the count is bounded up front; measured use is K ≤ 8.
+const MAX_SHARDS: usize = 1024;
+
+/// `--shards K` for both `fleet` paths: default 1, `0` also means 1
+/// (the unsharded engine), and a value above [`MAX_SHARDS`] is an
+/// argument error.
+fn shards_arg(args: &Args) -> Result<usize, CliError> {
+    let shards: usize = args.get_num("shards", 1usize)?;
+    if shards > MAX_SHARDS {
+        let value = args.get_or("shards", "").to_string();
+        return Err(ArgError::BadValue { flag: "shards".to_string(), value }.into());
+    }
+    Ok(shards.max(1))
+}
+
 fn fleet_cmd(args: &Args) -> Result<String, CliError> {
+    let shards = shards_arg(args)?;
     if let Some(path) = args.get("trace-file") {
         let path = path.to_string();
-        return fleet_file_cmd(args, &path);
+        return fleet_file_cmd(args, &path, shards);
     }
     let design = design_by_name(args.get_or("design", "full"))?;
     let n: usize = args.get_num("traces", 4usize)?;
     let workers: usize = args.get_num("workers", gsf_cluster::parallel::default_workers())?;
-    let shards: usize = args.get_num("shards", 1usize)?;
     let hours = args.get_num("hours", 24.0)?;
     let arrivals = args.get_num("arrivals", 80.0)?;
     let seed = args.get_num("seed", 42u64)?;
@@ -824,16 +839,15 @@ fn fleet_cmd(args: &Args) -> Result<String, CliError> {
     });
     let factory = SeedFactory::new(seed);
     let traces: Vec<Trace> = (0..n.max(1) as u64).map(|i| gen.generate(&factory, i)).collect();
-    let pipeline =
-        GsfPipeline::new(PipelineConfig { shards: shards.max(1), ..PipelineConfig::default() });
+    let pipeline = GsfPipeline::new(PipelineConfig { shards, ..PipelineConfig::default() });
     let o = pipeline.evaluate_fleet(&design, &traces, workers.max(1))?;
     Ok(format!(
         "{} across {} traces ({} workers, {} shard{}):\n  cluster savings: mean {}  min {}  max {}\n  DC savings:      mean {}\n",
         design.name(),
         traces.len(),
         workers.max(1),
-        shards.max(1),
-        if shards.max(1) == 1 { "" } else { "s" },
+        shards,
+        if shards == 1 { "" } else { "s" },
         fmt_pct(o.mean_cluster_savings, 1),
         fmt_pct(o.min_cluster_savings, 1),
         fmt_pct(o.max_cluster_savings, 1),
@@ -1148,5 +1162,24 @@ mod tests {
         let sharded = run(&argv(&["--shards", "3"])).unwrap();
         assert!(sharded.contains("3 shards)"), "{sharded}");
         assert!(sharded.contains("cluster savings"), "{sharded}");
+    }
+
+    #[test]
+    fn fleet_rejects_out_of_range_shards() {
+        // Both fleet paths parse --shards before building anything, so
+        // these values are rejected before any simulator exists. The
+        // shard split takes the count as `u32`: 2^32 would become 0.
+        for path_args in [&[][..], &["--trace-file", "/nonexistent/trace.gst"][..]] {
+            for value in ["4294967296", "1025", "-1", "lots"] {
+                let mut argv = vec!["fleet", "--design", "full", "--shards", value];
+                argv.extend_from_slice(path_args);
+                let err = run(&argv).unwrap_err();
+                assert!(
+                    matches!(&err, CliError::Args(ArgError::BadValue { flag, .. }) if flag == "shards"),
+                    "--shards {value}: {err}"
+                );
+                assert!(err.to_string().contains(value), "{err}");
+            }
+        }
     }
 }

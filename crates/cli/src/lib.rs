@@ -15,8 +15,11 @@
 //! gsf gen-trace --out trace.bin [--hours 24] [--arrivals 80] [--seed 42]
 //! gsf replay --trace trace.bin --design full
 //! gsf faults --design full [--afr-scale 1] [--fip 0.75] [--years 1] [--fault-seed 7]
-//! gsf fleet --design full [--traces 4] [--workers N] [--hours 24] [--seed 42]
+//! gsf fleet --design full [--traces 4] [--workers N] [--shards 1] [--hours 24] [--seed 42]
 //! ```
+//!
+//! `--shards` takes 0 to 1024 (0 and 1 both mean the unsharded engine);
+//! a larger value is an argument error.
 
 #![warn(missing_docs)]
 #![warn(clippy::unwrap_used)]

@@ -4,14 +4,17 @@
 //!
 //! - [`sizing`] — right-sizes a baseline-only cluster, then incrementally
 //!   replaces baseline SKUs with GreenSKUs until no VM is rejected,
-//!   reproducing the paper's search for the emission-minimizing mix;
+//!   reproducing the paper's search for the emission-minimizing mix, in
+//!   one pass ([`right_size_prepared`]); [`right_size_unprepared`] is
+//!   the same pass on the reference engine, kept as the test oracle;
 //! - [`buffer`] — the baseline-only growth-buffer workaround of §V;
 //! - [`savings`] — cluster-level emissions and the savings-vs-carbon-
 //!   intensity sweep behind Figs. 11/12;
 //! - [`parallel`] — runs per-trace work across threads (the 35-trace
 //!   packing study of Figs. 9/10);
-//! - [`sharded`] — the multi-worker driver and sizing knobs for the
-//!   sharded replay engine (parallelism *within* one simulation).
+//! - [`sharded`] — the multi-worker driver ([`replay_sharded`]) and
+//!   sizing probe for the sharded replay engine (parallelism *within*
+//!   one simulation).
 
 #![warn(missing_docs)]
 #![warn(clippy::unwrap_used)]
@@ -24,13 +27,9 @@ pub mod sizing;
 
 pub use buffer::GrowthBufferPolicy;
 pub use savings::{cluster_emissions, savings_fraction};
-pub use sharded::{
-    replay_sharded, right_size_baseline_only_prepared_sharded, right_size_mixed_prepared_sharded,
-};
+pub use sharded::replay_sharded;
 pub use sizing::{
-    right_size_baseline_only, right_size_baseline_only_faulted, right_size_baseline_only_prepared,
-    right_size_baseline_only_prepared_linear, right_size_baseline_only_unprepared,
-    right_size_mixed, right_size_mixed_faulted, right_size_mixed_prepared,
-    right_size_mixed_prepared_linear, right_size_mixed_unprepared, right_size_prepared,
-    AvailabilitySlo, ClusterPlan, ClusterSizing, FaultInjection, SizingError, SizingWork,
+    right_size_baseline_only_prepared, right_size_mixed_prepared, right_size_prepared,
+    right_size_unprepared, AvailabilitySlo, ClusterPlan, ClusterSizing, FaultInjection,
+    SizingError, SizingWork,
 };

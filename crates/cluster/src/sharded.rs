@@ -1,22 +1,21 @@
-//! Parallel driver and sizing entry points for the sharded replay
-//! engine (`gsf_vmalloc::shard`).
+//! Parallel driver and sizing probe for the sharded replay engine
+//! (`gsf_vmalloc::shard`).
 //!
 //! The shard module defines the semantics and the serial reference
 //! ([`ShardedSim::replay_prepared_faulted`]); this module adds the
-//! multi-worker execution path and the `shards`/`workers` knobs on the
-//! sizing searches. Because every shard task touches only its own
-//! state and results merge in ascending shard order, the parallel
-//! driver is bitwise identical to the serial reference for any worker
-//! count — the `shard_equivalence` suite gates exactly that.
+//! multi-worker execution path ([`replay_sharded`]) and the feasibility
+//! probe behind the `shards`/`workers` knobs of
+//! [`crate::sizing::right_size_prepared`]. Because every shard task
+//! touches only its own state and results merge in ascending shard
+//! order, the parallel driver is bitwise identical to the serial
+//! reference for any worker count — the `shard_equivalence` suite
+//! gates exactly that.
 
 use crate::parallel::map_parallel_mut;
-use crate::sizing::{
-    admitted, baseline_pass, probe_plan, size_pass, ClusterPlan, FaultInjection, SizingError,
-    SizingWork,
-};
+use crate::sizing::{admitted, probe_plan, FaultInjection};
 use gsf_vmalloc::{
     merge_outcomes, merge_probes, ClusterConfig, FaultPlan, FaultSummary, PlacementPolicy,
-    PreparedTrace, ServerShape, ShardedSim, SimOutcome,
+    PreparedTrace, ShardedSim, SimOutcome,
 };
 
 /// Replays `prepared` (with `faults`) across `sim`'s shards on
@@ -64,89 +63,32 @@ fn probe_sharded(
     Some(summary)
 }
 
-/// Feasibility probe on the sharded engine: reset, probe on `workers`
-/// threads, require no rejections (and, under fault injection, full
-/// evacuation or the availability-SLO budget). The sharded analogue of
-/// the unsharded prepared probe.
-fn feasible_sharded(
-    sim: &mut ShardedSim,
-    prepared: &PreparedTrace,
-    config: ClusterConfig,
-    faults: Option<&FaultInjection<'_>>,
-    workers: usize,
-) -> bool {
-    sim.reset(config);
-    let plan = probe_plan(faults, &config, prepared.duration_s());
-    admitted(probe_sharded(sim, prepared, &plan, workers), faults)
-}
-
-/// A sharded-engine probe over one `shards`-way simulator, reset and
-/// reused by every probe of one search.
+/// Feasibility probe on the sharded engine: one `shards`-way
+/// simulator, reset and reused by every probe of one search, probes
+/// `prepared` on `workers` threads and requires no rejections (and,
+/// under fault injection, full evacuation or the availability-SLO
+/// budget). The sharded analogue of the unsharded prepared probe.
 pub(crate) fn sharded_probe<'a>(
+    prepared: &'a PreparedTrace,
     policy: PlacementPolicy,
     faults: Option<&'a FaultInjection<'a>>,
     shards: usize,
     workers: usize,
-) -> impl FnMut(&PreparedTrace, ClusterConfig) -> bool + 'a {
+) -> impl FnMut(ClusterConfig) -> bool + 'a {
     let mut sim = ShardedSim::new(ClusterConfig::baseline_only(0), policy, shards);
-    move |prepared, config| feasible_sharded(&mut sim, prepared, config, faults, workers)
-}
-
-/// Baseline-only sizing under the **sharded** replay semantics:
-/// smallest count of `baseline_shape` servers, split into `shards`
-/// shards, hosting `prepared` with no rejections (and full evacuation
-/// under `faults`). `workers` only parallelizes each probe — the
-/// result is identical for any worker count. At `shards <= 1` the
-/// sharded semantics coincide with the unsharded engine, so this
-/// returns exactly what `right_size_baseline_only_prepared` does.
-///
-/// # Errors
-///
-/// Returns [`SizingError::Infeasible`] as the unsharded search does.
-pub fn right_size_baseline_only_prepared_sharded(
-    prepared: &PreparedTrace,
-    baseline_shape: ServerShape,
-    policy: PlacementPolicy,
-    faults: Option<&FaultInjection<'_>>,
-    shards: usize,
-    workers: usize,
-) -> Result<u32, SizingError> {
-    let faults = faults.filter(|f| !f.model.is_none());
-    let probe = sharded_probe(policy, faults, shards, workers);
-    baseline_pass(prepared, baseline_shape, &mut SizingWork::default(), probe)
-}
-
-/// Mixed-cluster sizing under the sharded replay semantics; see
-/// [`right_size_baseline_only_prepared_sharded`] for the knobs and
-/// [`crate::sizing::right_size_mixed_prepared`] for the search itself.
-/// [`crate::sizing::right_size_prepared`] returns the same plan
-/// together with `n0` from one pass.
-///
-/// # Errors
-///
-/// Returns [`SizingError::Infeasible`] as the unsharded search does.
-#[allow(clippy::too_many_arguments)]
-pub fn right_size_mixed_prepared_sharded(
-    prepared: &PreparedTrace,
-    prepared_baseline: &PreparedTrace,
-    baseline_shape: ServerShape,
-    green_shape: ServerShape,
-    policy: PlacementPolicy,
-    faults: Option<&FaultInjection<'_>>,
-    shards: usize,
-    workers: usize,
-) -> Result<ClusterPlan, SizingError> {
-    let faults = faults.filter(|f| !f.model.is_none());
-    let probe = || sharded_probe(policy, faults, shards, workers);
-    size_pass(prepared, prepared_baseline, baseline_shape, green_shape, probe)
-        .map(|sizing| sizing.plan)
+    move |config| {
+        sim.reset(config);
+        let plan = probe_plan(faults, &config, prepared.duration_s());
+        admitted(probe_sharded(&mut sim, prepared, &plan, workers), faults)
+    }
 }
 
 #[cfg(test)]
 #[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
-    use gsf_vmalloc::PlacementRequest;
+    use crate::sizing::{right_size_prepared, size_pass, ClusterSizing};
+    use gsf_vmalloc::{PlacementRequest, ServerShape};
     use gsf_workloads::{ServerGeneration, Trace, VmEvent, VmEventKind, VmSpec};
 
     fn vm(id: u64, cores: u32) -> VmSpec {
@@ -189,29 +131,47 @@ mod tests {
         }
     }
 
+    /// Both sizing plans of `trace` under adoption at 1.25×.
+    fn plans(trace: &Trace) -> (PreparedTrace, PreparedTrace) {
+        let transform = |v: &VmSpec| PlacementRequest::prefer_green(v, 1.25);
+        let baseline_transform = |v: &VmSpec| PlacementRequest::baseline_only(v);
+        (PreparedTrace::new(trace, &transform), PreparedTrace::new(trace, &baseline_transform))
+    }
+
+    fn size(
+        prepared: &PreparedTrace,
+        prepared_baseline: &PreparedTrace,
+        shards: usize,
+        workers: usize,
+    ) -> ClusterSizing {
+        right_size_prepared(
+            prepared,
+            prepared_baseline,
+            ServerShape::baseline_gen3(),
+            ServerShape::greensku(),
+            PlacementPolicy::BestFit,
+            None,
+            shards,
+            workers,
+        )
+        .unwrap()
+    }
+
     #[test]
     fn sharded_sizing_at_one_shard_matches_unsharded() {
-        let trace = concurrent_trace(30);
-        let transform = |v: &VmSpec| gsf_vmalloc::PlacementRequest::baseline_only(v);
-        let prepared = PreparedTrace::new(&trace, &transform);
-        let shape = ServerShape::baseline_gen3();
-        let unsharded = crate::sizing::right_size_baseline_only_prepared(
-            &prepared,
-            shape,
-            PlacementPolicy::BestFit,
-            None,
+        // `right_size_prepared` probes the unsharded engine at one
+        // shard; the sharded probe, forced to one shard, must size the
+        // same cluster with the same probes.
+        let (prepared, prepared_baseline) = plans(&concurrent_trace(30));
+        let sharded = size_pass(
+            prepared_baseline.peak_demand(),
+            ServerShape::baseline_gen3(),
+            ServerShape::greensku(),
+            sharded_probe(&prepared_baseline, PlacementPolicy::BestFit, None, 1, 4),
+            sharded_probe(&prepared, PlacementPolicy::BestFit, None, 1, 4),
         )
         .unwrap();
-        let sharded = right_size_baseline_only_prepared_sharded(
-            &prepared,
-            shape,
-            PlacementPolicy::BestFit,
-            None,
-            1,
-            4,
-        )
-        .unwrap();
-        assert_eq!(sharded, unsharded);
+        assert_eq!(sharded, size(&prepared, &prepared_baseline, 1, 1));
     }
 
     #[test]
@@ -219,34 +179,13 @@ mod tests {
         // Shard routing can only *restrict* placement choices (no
         // cross-shard overflow), so the sharded search needs at least
         // as many servers.
-        let trace = concurrent_trace(40);
-        let transform = |v: &VmSpec| PlacementRequest::prefer_green(v, 1.25);
-        let prepared = PreparedTrace::new(&trace, &transform);
-        let baseline_transform = |v: &VmSpec| gsf_vmalloc::PlacementRequest::baseline_only(v);
-        let prepared_baseline = PreparedTrace::new(&trace, &baseline_transform);
-        let unsharded = crate::sizing::right_size_mixed_prepared(
-            &prepared,
-            &prepared_baseline,
-            ServerShape::baseline_gen3(),
-            ServerShape::greensku(),
-            PlacementPolicy::BestFit,
-            None,
-        )
-        .unwrap();
+        let (prepared, prepared_baseline) = plans(&concurrent_trace(40));
+        let unsharded = size(&prepared, &prepared_baseline, 1, 1);
         for shards in [2usize, 4] {
-            let sharded = right_size_mixed_prepared_sharded(
-                &prepared,
-                &prepared_baseline,
-                ServerShape::baseline_gen3(),
-                ServerShape::greensku(),
-                PlacementPolicy::BestFit,
-                None,
-                shards,
-                2,
-            )
-            .unwrap();
+            let sharded = size(&prepared, &prepared_baseline, shards, 2);
             assert!(
-                sharded.total() >= unsharded.total(),
+                sharded.baseline_only >= unsharded.baseline_only
+                    && sharded.plan.total() >= unsharded.plan.total(),
                 "K={shards}: sharded {sharded:?} < unsharded {unsharded:?}"
             );
         }

@@ -7,11 +7,23 @@
 //! possible; VMs that cannot adopt the GreenSKU pin the residual
 //! baseline pool. Both steps are monotone feasibility searches, so they
 //! run as binary searches over simulator replays.
+//!
+//! One pass runs both searches, over one engine's feasibility probes:
+//!
+//! - [`right_size_prepared`] — production: prepared plans, unsharded
+//!   (indexed selection) or sharded;
+//! - [`right_size_baseline_only_prepared`] and
+//!   [`right_size_mixed_prepared`] — its two results on their own, on
+//!   the unsharded engine;
+//! - [`right_size_unprepared`] — the test oracle: the same pass on the
+//!   unprepared reference engine with linear selection, which the
+//!   `prepared_equivalence` suite pins the others to.
 
+use crate::sharded::sharded_probe;
 use gsf_maintenance::{FaultModel, PoolDevices};
 use gsf_vmalloc::{
-    AllocationSim, ClusterConfig, FaultPlan, PlacementPolicy, PreparedTrace, ServerShape,
-    VmTransform,
+    AllocationSim, ClusterConfig, FaultPlan, PlacementPolicy, PlacementRequest, PreparedTrace,
+    ServerShape, VmTransform,
 };
 use gsf_workloads::Trace;
 use serde::{Deserialize, Serialize};
@@ -155,52 +167,40 @@ pub(crate) fn probe_plan(
     faults.map_or_else(FaultPlan::empty, |inj| inj.plan_for(config, duration_s))
 }
 
-/// Feasibility probe on the prepared replay engine: the plan is built
-/// once per sizing call and replayed across every probe. Runs the
-/// verdict-only replay ([`AllocationSim::probe_prepared_faulted`]),
-/// whose answer matches the full replay's bit for bit.
-fn feasible_prepared(
-    sim: &mut AllocationSim,
-    prepared: &PreparedTrace,
-    config: ClusterConfig,
-    faults: Option<&FaultInjection<'_>>,
-) -> bool {
-    sim.reset(config);
-    let plan = probe_plan(faults, &config, prepared.duration_s());
-    admitted(sim.probe_prepared_faulted(prepared, &plan), faults)
-}
-
-/// A prepared-engine probe over one simulator, indexed or linear, that
-/// every probe of one search resets and reuses.
+/// Feasibility probe on the prepared replay engine with indexed server
+/// selection: one simulator, reset and reused by every probe of one
+/// search, runs the verdict-only replay
+/// ([`AllocationSim::probe_prepared_faulted`]) of `prepared`, whose
+/// answer matches the full replay's bit for bit.
 fn prepared_probe<'a>(
+    prepared: &'a PreparedTrace,
     policy: PlacementPolicy,
     faults: Option<&'a FaultInjection<'a>>,
-    linear_selection: bool,
-) -> impl FnMut(&PreparedTrace, ClusterConfig) -> bool + 'a {
+) -> impl FnMut(ClusterConfig) -> bool + 'a {
     let mut sim = AllocationSim::new(ClusterConfig::baseline_only(0), policy);
-    if linear_selection {
-        sim = sim.with_linear_selection();
+    move |config| {
+        sim.reset(config);
+        let plan = probe_plan(faults, &config, prepared.duration_s());
+        admitted(sim.probe_prepared_faulted(prepared, &plan), faults)
     }
-    move |prepared, config| feasible_prepared(&mut sim, prepared, config, faults)
 }
 
-/// Feasibility probe on the unprepared reference engine; bit-identical
-/// to [`feasible_prepared`] by the replay-equivalence contract.
-fn feasible_unprepared(
-    sim: &mut AllocationSim,
-    trace: &Trace,
-    transform: &VmTransform<'_>,
-    config: ClusterConfig,
-    faults: Option<&FaultInjection<'_>>,
-) -> bool {
-    sim.reset(config);
-    match faults {
-        None => sim.replay_unprepared(trace, transform).no_rejections(),
-        Some(inj) => {
-            let plan = inj.plan_for(&config, trace.duration_s());
-            let (outcome, summary) = sim.replay_faulted_unprepared(trace, transform, &plan);
-            outcome.no_rejections() && inj.admits(&summary)
-        }
+/// Feasibility probe on the unprepared reference engine with linear
+/// server selection: every probe re-resolves each event of `trace`
+/// through `transform` and scans the whole pool per placement.
+fn unprepared_probe<'a>(
+    trace: &'a Trace,
+    transform: &'a VmTransform<'a>,
+    policy: PlacementPolicy,
+    faults: Option<&'a FaultInjection<'a>>,
+) -> impl FnMut(ClusterConfig) -> bool + 'a {
+    let mut sim =
+        AllocationSim::new(ClusterConfig::baseline_only(0), policy).with_linear_selection();
+    move |config| {
+        sim.reset(config);
+        let plan = probe_plan(faults, &config, trace.duration_s());
+        let (outcome, summary) = sim.replay_faulted_unprepared(trace, transform, &plan);
+        admitted(outcome.no_rejections().then_some(summary), faults)
     }
 }
 
@@ -229,10 +229,10 @@ fn binary_search_min(lo: u32, hi: u32, mut pred: impl FnMut(u32) -> bool) -> Opt
 
 /// The baseline-only search skeleton: peak-demand lower bound, 4× upper
 /// bound (minimum 8), binary search over `probe`. The probe captures
-/// its own simulator (indexed, linear, or sharded — the skeleton is
+/// its own simulator (prepared, unprepared, or sharded — the skeleton is
 /// engine-agnostic) and answers whether one candidate configuration
 /// hosts the trace.
-pub(crate) fn baseline_search(
+fn baseline_search(
     peak_demand: (u64, f64),
     baseline_shape: ServerShape,
     mut probe: impl FnMut(ClusterConfig) -> bool,
@@ -254,7 +254,7 @@ pub(crate) fn baseline_search(
 /// The mixed-cluster search skeleton given a right-sized baseline-only
 /// count `n0`: fewest baseline servers first (with an adaptively
 /// doubling green cap), then fewest GreenSKUs.
-pub(crate) fn mixed_search(
+fn mixed_search(
     n0: u32,
     baseline_shape: ServerShape,
     green_shape: ServerShape,
@@ -317,51 +317,58 @@ pub(crate) fn mixed_search(
     Ok(ClusterPlan { baseline: b_min, green: g_min })
 }
 
-/// One sizing pass: the baseline-only search once over
-/// `prepared_baseline`, then the mixed search from its `n0` over
-/// `prepared`, each through a probe from `new_probe`. Every public
-/// prepared-plan sizing entry point is this pass (or its first half)
-/// over some engine's probe, so there is one copy of the search.
-pub(crate) fn size_pass<P: FnMut(&PreparedTrace, ClusterConfig) -> bool>(
-    prepared: &PreparedTrace,
-    prepared_baseline: &PreparedTrace,
+/// One sizing pass: the baseline-only search over `baseline_probe`,
+/// then the mixed search from its `n0` over `mixed_probe`, with the
+/// work counted. `peak_demand` is that of the baseline-only requests.
+/// Each search has its own probe (and simulator): the baseline probe is
+/// dropped before the mixed search grows its pools, which keeps the
+/// peak memory of a pass at that of one search. Every sizing entry
+/// point, production and oracle, is this pass (or its baseline half)
+/// over some engine's probes, so there is one copy of the search.
+pub(crate) fn size_pass(
+    peak_demand: (u64, f64),
     baseline_shape: ServerShape,
     green_shape: ServerShape,
-    new_probe: impl Fn() -> P,
+    baseline_probe: impl FnMut(ClusterConfig) -> bool,
+    mut mixed_probe: impl FnMut(ClusterConfig) -> bool,
 ) -> Result<ClusterSizing, SizingError> {
-    let mut work = SizingWork::default();
-    // One probe (and simulator) per search: the baseline search's
-    // largest pools are freed before the mixed search grows its own,
-    // which keeps the peak memory of a pass at that of one search.
-    let n0 = baseline_pass(prepared_baseline, baseline_shape, &mut work, new_probe())?;
-    let mut probe = new_probe();
+    let mut work = SizingWork { baseline_searches: 1, ..SizingWork::default() };
+    let n0 = {
+        // Moved into this block so it is dropped at its end.
+        let mut probe = baseline_probe;
+        baseline_search(peak_demand, baseline_shape, |config| {
+            work.baseline_probes += 1;
+            probe(config)
+        })?
+    };
     let plan = mixed_search(n0, baseline_shape, green_shape, |config| {
         work.mixed_probes += 1;
-        probe(prepared, config)
+        mixed_probe(config)
     })?;
     Ok(ClusterSizing { baseline_only: n0, plan, work })
 }
 
-/// The baseline-only half of [`size_pass`], counted into `work`.
-pub(crate) fn baseline_pass(
-    prepared_baseline: &PreparedTrace,
-    baseline_shape: ServerShape,
-    work: &mut SizingWork,
-    mut probe: impl FnMut(&PreparedTrace, ClusterConfig) -> bool,
-) -> Result<u32, SizingError> {
-    work.baseline_searches += 1;
-    baseline_search(prepared_baseline.peak_demand(), baseline_shape, |config| {
-        work.baseline_probes += 1;
-        probe(prepared_baseline, config)
-    })
-}
-
 /// Right-sizes both clusters of one evaluation in one pass: the
 /// baseline-only search runs once, and its `n0` both is the result's
-/// [`ClusterSizing::baseline_only`] and seeds the mixed search.
-/// `prepared` carries the routed (adoption-transformed) requests,
-/// `prepared_baseline` the baseline-only ones, as for
-/// [`right_size_mixed_prepared`], which returns the same plan.
+/// [`ClusterSizing::baseline_only`] and seeds the mixed search, which
+/// starts from the right-sized baseline-only cluster and replaces
+/// baseline SKUs with GreenSKUs until some VM would be rejected,
+/// returning the plan with the fewest baseline servers (and, given
+/// that, the fewest GreenSKUs).
+///
+/// `prepared` carries the routed (adoption-transformed) requests the
+/// mixed search probes with: adopting VMs issue green-preferring
+/// (scaled) requests, others baseline-only ones. `prepared_baseline`
+/// carries the baseline-only requests (every VM at its original size)
+/// the `n0` search probes with. Both are built once per (trace, routing
+/// decision) and replayed by every probe; the `EvalContext` prepared
+/// cache in `gsf-core` shares them across sweep points.
+///
+/// Under fault injection each candidate configuration is probed with
+/// its own fault plan, and it is feasible only if no VM is rejected
+/// *and* every fault-displaced VM is re-placed (or, with an
+/// [`AvailabilitySlo`], the downtime stays within budget). `None` (or a
+/// disabled model) is the fault-free search.
 ///
 /// `shards > 1` probes under the sharded replay semantics (see
 /// [`crate::sharded`]), each probe on `workers` threads; the result is
@@ -370,7 +377,9 @@ pub(crate) fn baseline_pass(
 ///
 /// # Errors
 ///
-/// Returns [`SizingError::Infeasible`] as the plain search does.
+/// Returns [`SizingError::Infeasible`] if the baseline-only trace cannot
+/// be hosted at the search bound (4× the peak-demand lower bound,
+/// minimum 8), or the mixed search finds no plan within its green cap.
 #[allow(clippy::too_many_arguments)]
 pub fn right_size_prepared(
     prepared: &PreparedTrace,
@@ -383,186 +392,52 @@ pub fn right_size_prepared(
     workers: usize,
 ) -> Result<ClusterSizing, SizingError> {
     let faults = faults.filter(|f| !f.model.is_none());
+    let peak_demand = prepared_baseline.peak_demand();
     if shards > 1 {
-        let probe = || crate::sharded::sharded_probe(policy, faults, shards, workers);
-        size_pass(prepared, prepared_baseline, baseline_shape, green_shape, probe)
+        size_pass(
+            peak_demand,
+            baseline_shape,
+            green_shape,
+            sharded_probe(prepared_baseline, policy, faults, shards, workers),
+            sharded_probe(prepared, policy, faults, shards, workers),
+        )
     } else {
-        let probe = || prepared_probe(policy, faults, false);
-        size_pass(prepared, prepared_baseline, baseline_shape, green_shape, probe)
+        size_pass(
+            peak_demand,
+            baseline_shape,
+            green_shape,
+            prepared_probe(prepared_baseline, policy, faults),
+            prepared_probe(prepared, policy, faults),
+        )
     }
 }
 
-/// Right-sizes a baseline-only cluster: the minimum number of
-/// `baseline_shape` servers hosting `trace` without rejections, with
-/// every VM placed at its original size.
+/// The baseline-only search of [`right_size_prepared`] on its own: the
+/// minimum number of `baseline_shape` servers hosting `prepared` (built
+/// with the baseline-only transform) on the unsharded engine.
 ///
 /// # Errors
 ///
-/// Returns [`SizingError::Infeasible`] if the trace cannot be hosted at
-/// the search bound (4× the peak-demand lower bound, minimum 8).
-pub fn right_size_baseline_only(
-    trace: &Trace,
-    baseline_shape: ServerShape,
-    policy: PlacementPolicy,
-) -> Result<u32, SizingError> {
-    right_size_baseline_only_faulted(trace, baseline_shape, policy, None)
-}
-
-/// [`right_size_baseline_only`] under fault injection: each candidate
-/// count is probed with that configuration's fault plan, and a size is
-/// feasible only if no VM is rejected *and* every fault-displaced VM is
-/// successfully evacuated. `None` (or a disabled model) is exactly the
-/// plain search.
-///
-/// # Errors
-///
-/// Returns [`SizingError::Infeasible`] as the plain search does.
-pub fn right_size_baseline_only_faulted(
-    trace: &Trace,
-    baseline_shape: ServerShape,
-    policy: PlacementPolicy,
-    faults: Option<&FaultInjection<'_>>,
-) -> Result<u32, SizingError> {
-    let transform = |vm: &gsf_workloads::VmSpec| gsf_vmalloc::PlacementRequest::baseline_only(vm);
-    let prepared = PreparedTrace::new(trace, &transform);
-    right_size_baseline_only_prepared(&prepared, baseline_shape, policy, faults)
-}
-
-/// [`right_size_baseline_only_faulted`] over an already-prepared plan,
-/// so every binary-search probe replays the same precomputation.
-/// `prepared` must have been built with the baseline-only transform
-/// (every request at its original size); the `EvalContext` prepared
-/// cache in `gsf-core` shares one such plan across all sweep points.
-///
-/// # Errors
-///
-/// Returns [`SizingError::Infeasible`] as the plain search does.
+/// Returns [`SizingError::Infeasible`] as [`right_size_prepared`] does.
 pub fn right_size_baseline_only_prepared(
     prepared: &PreparedTrace,
     baseline_shape: ServerShape,
     policy: PlacementPolicy,
     faults: Option<&FaultInjection<'_>>,
 ) -> Result<u32, SizingError> {
-    baseline_only_prepared_impl(prepared, baseline_shape, policy, faults, false)
-}
-
-/// [`right_size_baseline_only_prepared`] with server selection through
-/// the linear reference scan instead of the placement index. Everything
-/// else (prepared engine, probes, bounds) is identical, so comparing
-/// this against the indexed search isolates the selection path alone —
-/// the `index_equivalence` suite and the `ablation_indexed_placement`
-/// bench both lean on that.
-///
-/// # Errors
-///
-/// Returns [`SizingError::Infeasible`] as the plain search does.
-pub fn right_size_baseline_only_prepared_linear(
-    prepared: &PreparedTrace,
-    baseline_shape: ServerShape,
-    policy: PlacementPolicy,
-    faults: Option<&FaultInjection<'_>>,
-) -> Result<u32, SizingError> {
-    baseline_only_prepared_impl(prepared, baseline_shape, policy, faults, true)
-}
-
-fn baseline_only_prepared_impl(
-    prepared: &PreparedTrace,
-    baseline_shape: ServerShape,
-    policy: PlacementPolicy,
-    faults: Option<&FaultInjection<'_>>,
-    linear_selection: bool,
-) -> Result<u32, SizingError> {
     let faults = faults.filter(|f| !f.model.is_none());
-    let probe = prepared_probe(policy, faults, linear_selection);
-    baseline_pass(prepared, baseline_shape, &mut SizingWork::default(), probe)
-}
-
-/// Reference baseline-only sizing on the unprepared replay engine with
-/// linear server selection: re-resolves every event on every probe and
-/// scans the whole pool per placement. Bit-identical to
-/// [`right_size_baseline_only_faulted`] by the replay- and
-/// index-equivalence contracts; kept for the equivalence suites and the
-/// ablation benches.
-///
-/// # Errors
-///
-/// Returns [`SizingError::Infeasible`] as the plain search does.
-pub fn right_size_baseline_only_unprepared(
-    trace: &Trace,
-    baseline_shape: ServerShape,
-    policy: PlacementPolicy,
-    faults: Option<&FaultInjection<'_>>,
-) -> Result<u32, SizingError> {
-    let faults = faults.filter(|f| !f.model.is_none());
-    let transform = |vm: &gsf_workloads::VmSpec| gsf_vmalloc::PlacementRequest::baseline_only(vm);
-    let mut sim =
-        AllocationSim::new(ClusterConfig::baseline_only(0), policy).with_linear_selection();
-    baseline_search(trace.peak_demand(), baseline_shape, |config| {
-        feasible_unprepared(&mut sim, trace, &transform, config, faults)
-    })
-}
-
-/// The §V mixed-cluster search: starting from a right-sized
-/// baseline-only cluster, replaces baseline SKUs with GreenSKUs until no
-/// VM is rejected, returning the plan with the fewest baseline servers
-/// (and, given that, the fewest GreenSKUs).
-///
-/// `transform` encodes the adoption decisions: adopting VMs issue
-/// green-preferring (scaled) requests, others baseline-only ones.
-///
-/// # Errors
-///
-/// Returns [`SizingError::Infeasible`] if even the all-baseline bound
-/// cannot host the trace.
-pub fn right_size_mixed(
-    trace: &Trace,
-    transform: &VmTransform<'_>,
-    baseline_shape: ServerShape,
-    green_shape: ServerShape,
-    policy: PlacementPolicy,
-) -> Result<ClusterPlan, SizingError> {
-    right_size_mixed_faulted(trace, transform, baseline_shape, green_shape, policy, None)
-}
-
-/// [`right_size_mixed`] under fault injection; see
-/// [`right_size_baseline_only_faulted`] for the tightened feasibility
-/// predicate. `None` (or a disabled model) is exactly the plain search.
-///
-/// # Errors
-///
-/// Returns [`SizingError::Infeasible`] as the plain search does.
-pub fn right_size_mixed_faulted(
-    trace: &Trace,
-    transform: &VmTransform<'_>,
-    baseline_shape: ServerShape,
-    green_shape: ServerShape,
-    policy: PlacementPolicy,
-    faults: Option<&FaultInjection<'_>>,
-) -> Result<ClusterPlan, SizingError> {
-    let prepared = PreparedTrace::new(trace, transform);
-    let baseline_transform =
-        |vm: &gsf_workloads::VmSpec| gsf_vmalloc::PlacementRequest::baseline_only(vm);
-    let prepared_baseline = PreparedTrace::new(trace, &baseline_transform);
-    right_size_mixed_prepared(
-        &prepared,
-        &prepared_baseline,
+    baseline_search(
+        prepared.peak_demand(),
         baseline_shape,
-        green_shape,
-        policy,
-        faults,
+        prepared_probe(prepared, policy, faults),
     )
 }
 
-/// [`right_size_mixed_faulted`] over already-prepared plans: `prepared`
-/// carries the routed (adoption-transformed) requests the mixed search
-/// probes with, `prepared_baseline` the baseline-only requests seeding
-/// the `n0` search. Both are built once per (trace, routing decision)
-/// and shared across every probe — and, via the `EvalContext` cache,
-/// across every sweep point with the same routing signature.
+/// The mixed plan of [`right_size_prepared`] on the unsharded engine.
 ///
 /// # Errors
 ///
-/// Returns [`SizingError::Infeasible`] as the plain search does.
+/// Returns [`SizingError::Infeasible`] as [`right_size_prepared`] does.
 pub fn right_size_mixed_prepared(
     prepared: &PreparedTrace,
     prepared_baseline: &PreparedTrace,
@@ -571,89 +446,54 @@ pub fn right_size_mixed_prepared(
     policy: PlacementPolicy,
     faults: Option<&FaultInjection<'_>>,
 ) -> Result<ClusterPlan, SizingError> {
-    mixed_prepared_impl(
+    right_size_prepared(
         prepared,
         prepared_baseline,
         baseline_shape,
         green_shape,
         policy,
         faults,
-        false,
+        1,
+        1,
     )
+    .map(|sizing| sizing.plan)
 }
 
-/// [`right_size_mixed_prepared`] with server selection through the
-/// linear reference scan instead of the placement index; see
-/// [`right_size_baseline_only_prepared_linear`].
+/// Reference sizing, the test oracle for [`right_size_prepared`]: the
+/// same pass (same searches, same work counters) with every probe on
+/// the unprepared replay engine with linear server selection, which
+/// re-resolves each event through `transform` (or the baseline-only
+/// transform, for the `n0` search) on every probe and scans the whole
+/// pool per placement. Bit-identical to `right_size_prepared(.., 1, 1)`
+/// over plans built from the same `trace` and `transform`, by the
+/// replay- and index-equivalence contracts.
 ///
 /// # Errors
 ///
-/// Returns [`SizingError::Infeasible`] as the plain search does.
-pub fn right_size_mixed_prepared_linear(
-    prepared: &PreparedTrace,
-    prepared_baseline: &PreparedTrace,
-    baseline_shape: ServerShape,
-    green_shape: ServerShape,
-    policy: PlacementPolicy,
-    faults: Option<&FaultInjection<'_>>,
-) -> Result<ClusterPlan, SizingError> {
-    mixed_prepared_impl(
-        prepared,
-        prepared_baseline,
-        baseline_shape,
-        green_shape,
-        policy,
-        faults,
-        true,
-    )
-}
-
-#[allow(clippy::too_many_arguments)]
-fn mixed_prepared_impl(
-    prepared: &PreparedTrace,
-    prepared_baseline: &PreparedTrace,
-    baseline_shape: ServerShape,
-    green_shape: ServerShape,
-    policy: PlacementPolicy,
-    faults: Option<&FaultInjection<'_>>,
-    linear_selection: bool,
-) -> Result<ClusterPlan, SizingError> {
-    let faults = faults.filter(|f| !f.model.is_none());
-    let probe = || prepared_probe(policy, faults, linear_selection);
-    size_pass(prepared, prepared_baseline, baseline_shape, green_shape, probe)
-        .map(|sizing| sizing.plan)
-}
-
-/// Reference mixed sizing on the unprepared replay engine with linear
-/// server selection; bit-identical to [`right_size_mixed_faulted`] by
-/// the replay- and index-equivalence contracts, kept for the
-/// equivalence suites and the ablation benches.
-///
-/// # Errors
-///
-/// Returns [`SizingError::Infeasible`] as the plain search does.
-pub fn right_size_mixed_unprepared(
+/// Returns [`SizingError::Infeasible`] as [`right_size_prepared`] does.
+pub fn right_size_unprepared(
     trace: &Trace,
     transform: &VmTransform<'_>,
     baseline_shape: ServerShape,
     green_shape: ServerShape,
     policy: PlacementPolicy,
     faults: Option<&FaultInjection<'_>>,
-) -> Result<ClusterPlan, SizingError> {
+) -> Result<ClusterSizing, SizingError> {
     let faults = faults.filter(|f| !f.model.is_none());
-    let n0 = right_size_baseline_only_unprepared(trace, baseline_shape, policy, faults)?;
-    let mut sim =
-        AllocationSim::new(ClusterConfig::baseline_only(0), policy).with_linear_selection();
-    mixed_search(n0, baseline_shape, green_shape, |config| {
-        feasible_unprepared(&mut sim, trace, transform, config, faults)
-    })
+    let baseline_transform = |vm: &gsf_workloads::VmSpec| PlacementRequest::baseline_only(vm);
+    size_pass(
+        trace.peak_demand(),
+        baseline_shape,
+        green_shape,
+        unprepared_probe(trace, &baseline_transform, policy, faults),
+        unprepared_probe(trace, transform, policy, faults),
+    )
 }
 
 #[cfg(test)]
 #[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
-    use gsf_vmalloc::PlacementRequest;
     use gsf_workloads::{ServerGeneration, Trace, VmEvent, VmEventKind, VmSpec};
 
     fn vm(id: u64, cores: u32, full_node: bool) -> VmSpec {
@@ -680,16 +520,43 @@ mod tests {
         Trace::new(2000.0, vms, events)
     }
 
+    fn baseline_transform(v: &VmSpec) -> PlacementRequest {
+        PlacementRequest::baseline_only(v)
+    }
+
+    /// Baseline-only sizing of `trace` on 80-core baseline servers.
+    fn size_baseline(
+        trace: &Trace,
+        policy: PlacementPolicy,
+        faults: Option<&FaultInjection<'_>>,
+    ) -> Result<u32, SizingError> {
+        let prepared = PreparedTrace::new(trace, &baseline_transform);
+        right_size_baseline_only_prepared(&prepared, ServerShape::baseline_gen3(), policy, faults)
+    }
+
+    /// One best-fit sizing pass over `trace` routed through `transform`.
+    fn size(
+        trace: &Trace,
+        transform: &VmTransform<'_>,
+        faults: Option<&FaultInjection<'_>>,
+    ) -> Result<ClusterSizing, SizingError> {
+        right_size_prepared(
+            &PreparedTrace::new(trace, transform),
+            &PreparedTrace::new(trace, &baseline_transform),
+            ServerShape::baseline_gen3(),
+            ServerShape::greensku(),
+            PlacementPolicy::BestFit,
+            faults,
+            1,
+            1,
+        )
+    }
+
     #[test]
     fn baseline_sizing_matches_arithmetic() {
         // 30 concurrent 8-core VMs = 240 cores → exactly 3 × 80-core
         // servers (10 VMs each; memory 4 GB/core fits easily).
-        let n = right_size_baseline_only(
-            &concurrent_trace(30),
-            ServerShape::baseline_gen3(),
-            PlacementPolicy::BestFit,
-        )
-        .unwrap();
+        let n = size_baseline(&concurrent_trace(30), PlacementPolicy::BestFit, None).unwrap();
         assert_eq!(n, 3);
     }
 
@@ -702,11 +569,7 @@ mod tests {
             vec![VmEvent { time_s: 1.0, kind: VmEventKind::Arrival, vm_id: 0 }],
         );
         assert!(matches!(
-            right_size_baseline_only(
-                &trace,
-                ServerShape::baseline_gen3(),
-                PlacementPolicy::BestFit
-            ),
+            size_baseline(&trace, PlacementPolicy::BestFit, None),
             Err(SizingError::Infeasible { .. })
         ));
     }
@@ -714,14 +577,7 @@ mod tests {
     #[test]
     fn all_adopting_workload_goes_fully_green() {
         let transform = |v: &VmSpec| PlacementRequest::prefer_green(v, 1.25);
-        let plan = right_size_mixed(
-            &concurrent_trace(24),
-            &transform,
-            ServerShape::baseline_gen3(),
-            ServerShape::greensku(),
-            PlacementPolicy::BestFit,
-        )
-        .unwrap();
+        let plan = size(&concurrent_trace(24), &transform, None).unwrap().plan;
         assert_eq!(plan.baseline, 0);
         // 24 VMs × 10 green cores = 240 cores → 2 × 128-core servers.
         assert_eq!(plan.green, 2);
@@ -749,14 +605,7 @@ mod tests {
                 PlacementRequest::prefer_green(v, 1.0)
             }
         };
-        let plan = right_size_mixed(
-            &trace,
-            &transform,
-            ServerShape::baseline_gen3(),
-            ServerShape::greensku(),
-            PlacementPolicy::BestFit,
-        )
-        .unwrap();
+        let plan = size(&trace, &transform, None).unwrap().plan;
         assert_eq!(plan.baseline, 2);
         assert_eq!(plan.green, 1);
     }
@@ -765,20 +614,7 @@ mod tests {
     fn mixed_plan_never_larger_capacity_than_double_baseline() {
         let transform = |v: &VmSpec| PlacementRequest::prefer_green(v, 1.5);
         let trace = concurrent_trace(40);
-        let n0 = right_size_baseline_only(
-            &trace,
-            ServerShape::baseline_gen3(),
-            PlacementPolicy::BestFit,
-        )
-        .unwrap();
-        let plan = right_size_mixed(
-            &trace,
-            &transform,
-            ServerShape::baseline_gen3(),
-            ServerShape::greensku(),
-            PlacementPolicy::BestFit,
-        )
-        .unwrap();
+        let ClusterSizing { baseline_only: n0, plan, .. } = size(&trace, &transform, None).unwrap();
         let plan_cores = plan.baseline * 80 + plan.green * 128;
         assert!(plan_cores <= 2 * n0 * 80, "plan {plan:?} vs baseline {n0}");
     }
@@ -792,14 +628,7 @@ mod tests {
         // still find the all-green plan instead of pinning baseline
         // servers (or reporting the trace infeasible).
         let transform = |v: &VmSpec| PlacementRequest::prefer_green(v, 2.0);
-        let plan = right_size_mixed(
-            &concurrent_trace(200),
-            &transform,
-            ServerShape::baseline_gen3(),
-            ServerShape::greensku(),
-            PlacementPolicy::BestFit,
-        )
-        .unwrap();
+        let plan = size(&concurrent_trace(200), &transform, None).unwrap().plan;
         assert_eq!(plan.baseline, 0, "plan {plan:?}");
         assert_eq!(plan.green, 25);
     }
@@ -814,19 +643,8 @@ mod tests {
             green_devices: PoolDevices::greensku_full(),
             slo: None,
         };
-        let plain = right_size_baseline_only(
-            &trace,
-            ServerShape::baseline_gen3(),
-            PlacementPolicy::BestFit,
-        )
-        .unwrap();
-        let faulted = right_size_baseline_only_faulted(
-            &trace,
-            ServerShape::baseline_gen3(),
-            PlacementPolicy::BestFit,
-            Some(&inj),
-        )
-        .unwrap();
+        let plain = size_baseline(&trace, PlacementPolicy::BestFit, None).unwrap();
+        let faulted = size_baseline(&trace, PlacementPolicy::BestFit, Some(&inj)).unwrap();
         assert_eq!(plain, faulted);
     }
 
@@ -845,10 +663,8 @@ mod tests {
             slo: None,
         };
         let shape = ServerShape::baseline_gen3();
-        let plain = right_size_baseline_only(&trace, shape, PlacementPolicy::BestFit).unwrap();
-        let faulted =
-            right_size_baseline_only_faulted(&trace, shape, PlacementPolicy::BestFit, Some(&inj))
-                .unwrap();
+        let plain = size_baseline(&trace, PlacementPolicy::BestFit, None).unwrap();
+        let faulted = size_baseline(&trace, PlacementPolicy::BestFit, Some(&inj)).unwrap();
         assert!(faulted >= plain, "faulted {faulted} < plain {plain}");
         let config = ClusterConfig {
             baseline_count: faulted,
@@ -877,28 +693,11 @@ mod tests {
             slo: None,
         };
         let transform = |v: &VmSpec| PlacementRequest::prefer_green(v, 1.25);
-        let run = || {
-            right_size_mixed_faulted(
-                &trace,
-                &transform,
-                ServerShape::baseline_gen3(),
-                ServerShape::greensku(),
-                PlacementPolicy::BestFit,
-                Some(&inj),
-            )
-            .unwrap()
-        };
+        let run = || size(&trace, &transform, Some(&inj)).unwrap().plan;
         let a = run();
         assert_eq!(a, run());
         // And at least the fault-free capacity.
-        let plain = right_size_mixed(
-            &trace,
-            &transform,
-            ServerShape::baseline_gen3(),
-            ServerShape::greensku(),
-            PlacementPolicy::BestFit,
-        )
-        .unwrap();
+        let plain = size(&trace, &transform, None).unwrap().plan;
         assert!(a.total() >= plain.total(), "faulted {a:?} vs plain {plain:?}");
     }
 
@@ -914,17 +713,18 @@ mod tests {
         let prepared_baseline =
             PreparedTrace::new(&trace, &|v: &VmSpec| PlacementRequest::baseline_only(v));
         let (baseline_shape, green_shape) = (ServerShape::baseline_gen3(), ServerShape::greensku());
-        let mut probe = prepared_probe(PlacementPolicy::BestFit, None, false);
+        let mut baseline_probe = prepared_probe(&prepared_baseline, PlacementPolicy::BestFit, None);
+        let mut mixed_probe = prepared_probe(&prepared, PlacementPolicy::BestFit, None);
         let mut probed = Vec::new();
         let n0 = baseline_search(prepared_baseline.peak_demand(), baseline_shape, |config| {
             probed.push((config.baseline_count, config.green_count));
-            probe(&prepared_baseline, config)
+            baseline_probe(config)
         })
         .unwrap();
         let baseline_probes = probed.len();
         let plan = mixed_search(n0, baseline_shape, green_shape, |config| {
             probed.push((config.baseline_count, config.green_count));
-            probe(&prepared, config)
+            mixed_probe(config)
         })
         .unwrap();
         assert_eq!((n0, plan), (3, ClusterPlan { baseline: 0, green: 2 }));
@@ -940,17 +740,7 @@ mod tests {
 
         // The one-pass entry point runs the same probes and reports
         // them, with one baseline search.
-        let sizing = right_size_prepared(
-            &prepared,
-            &prepared_baseline,
-            baseline_shape,
-            green_shape,
-            PlacementPolicy::BestFit,
-            None,
-            1,
-            1,
-        )
-        .unwrap();
+        let sizing = size(&trace, &transform, None).unwrap();
         assert_eq!((sizing.baseline_only, sizing.plan), (n0, plan));
         assert_eq!(
             sizing.work,
@@ -985,7 +775,6 @@ mod tests {
     #[test]
     fn prepared_sizing_matches_unprepared() {
         let trace = concurrent_trace(30);
-        let shape = ServerShape::baseline_gen3();
         let transform = |v: &VmSpec| PlacementRequest::prefer_green(v, 1.25);
         let mut model = FaultModel::paper(13);
         model.afr_scale = 40.0;
@@ -997,27 +786,11 @@ mod tests {
         };
         for faults in [None, Some(&inj)] {
             assert_eq!(
-                right_size_baseline_only_faulted(&trace, shape, PlacementPolicy::BestFit, faults),
-                right_size_baseline_only_unprepared(
-                    &trace,
-                    shape,
-                    PlacementPolicy::BestFit,
-                    faults
-                ),
-            );
-            assert_eq!(
-                right_size_mixed_faulted(
+                size(&trace, &transform, faults),
+                right_size_unprepared(
                     &trace,
                     &transform,
-                    shape,
-                    ServerShape::greensku(),
-                    PlacementPolicy::BestFit,
-                    faults,
-                ),
-                right_size_mixed_unprepared(
-                    &trace,
-                    &transform,
-                    shape,
+                    ServerShape::baseline_gen3(),
                     ServerShape::greensku(),
                     PlacementPolicy::BestFit,
                     faults,

@@ -19,65 +19,22 @@
 //!    runs bitwise, and both sizing searches are stable across repeated
 //!    invocations against a reused probe.
 
+mod common;
+
+use common::{assert_bitwise, green_transform, random_small_vm_trace};
 use gsf_cluster::sizing::{
     right_size_baseline_only_prepared, right_size_mixed_prepared, FaultInjection,
 };
 use gsf_maintenance::{FaultModel, FaultTopology, PoolDevices};
 use gsf_vmalloc::{
     AllocationSim, ClusterConfig, FaultEvent, FaultKind, FaultPlan, FaultPool, PlacementPolicy,
-    PlacementRequest, PreparedTrace, ServerShape, ShardedSim, SimOutcome,
+    PlacementRequest, PreparedTrace, ServerShape, ShardedSim,
 };
-use gsf_workloads::{ServerGeneration, Trace, VmEvent, VmEventKind, VmSpec};
+use gsf_workloads::VmSpec;
 use proptest::prelude::*;
-use rand::{Rng, SeedableRng};
 
 const POLICIES: [PlacementPolicy; 3] =
     [PlacementPolicy::BestFit, PlacementPolicy::FirstFit, PlacementPolicy::WorstFit];
-
-fn random_trace(n_vms: usize, seed: u64) -> Trace {
-    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-    let mut vms = Vec::new();
-    let mut events = Vec::new();
-    for id in 0..n_vms as u64 {
-        let cores = *[1u32, 2, 4, 8, 16].get(rng.gen_range(0..5)).unwrap();
-        vms.push(VmSpec {
-            id,
-            cores,
-            mem_gb: f64::from(cores) * rng.gen_range(2.0..10.0),
-            app_index: rng.gen_range(0..20),
-            generation: ServerGeneration::Gen3,
-            full_node: false,
-            max_mem_util: rng.gen_range(0.1..1.0),
-            avg_cpu_util: rng.gen_range(0.05..0.6),
-        });
-        let t = rng.gen_range(0.0..1000.0);
-        events.push(VmEvent { time_s: t, kind: VmEventKind::Arrival, vm_id: id });
-        if rng.gen_bool(0.8) {
-            events.push(VmEvent {
-                time_s: t + rng.gen_range(1.0..1500.0),
-                kind: VmEventKind::Departure,
-                vm_id: id,
-            });
-        }
-    }
-    Trace::new(2100.0, vms, events)
-}
-
-fn mixed_transform(vm: &VmSpec) -> PlacementRequest {
-    PlacementRequest::prefer_green(vm, 1.25)
-}
-
-fn assert_bitwise(a: &SimOutcome, b: &SimOutcome) {
-    assert_eq!(a, b);
-    assert_eq!(
-        a.usage.total_baseline_core_hours().to_bits(),
-        b.usage.total_baseline_core_hours().to_bits()
-    );
-    assert_eq!(
-        a.usage.total_green_core_hours().to_bits(),
-        b.usage.total_green_core_hours().to_bits()
-    );
-}
 
 /// A deterministic handcrafted plan mixing full failures, partial
 /// degrades (including degrade-to-zero on one server), and revivals on
@@ -149,9 +106,9 @@ proptest! {
         baseline in 2u32..6,
         green in 2u32..5,
     ) {
-        let trace = random_trace(n_vms, seed);
+        let trace = random_small_vm_trace(n_vms, seed);
         let config = ClusterConfig::mixed(baseline, green);
-        let prepared = PreparedTrace::new(&trace, &mixed_transform);
+        let prepared = PreparedTrace::new(&trace, &green_transform);
         let plans = [
             handcrafted_plan(baseline, green, trace.duration_s()),
             sampled_plan(&config, trace.duration_s(), model_seed),
@@ -164,7 +121,7 @@ proptest! {
 
                 let mut sim_u = AllocationSim::new(config, policy).with_linear_selection();
                 let (out_u, sum_u) = sim_u.replay_faulted_unprepared(
-                    &trace, &mixed_transform, plan,
+                    &trace, &green_transform, plan,
                 );
                 prop_assert!(sim_u.storage_consistent());
                 assert_bitwise(&out_p, &out_u);
@@ -203,8 +160,8 @@ proptest! {
         n_vms in 1usize..30,
         seed in 0u64..100,
     ) {
-        let trace = random_trace(n_vms, seed);
-        let prepared = PreparedTrace::new(&trace, &mixed_transform);
+        let trace = random_small_vm_trace(n_vms, seed);
+        let prepared = PreparedTrace::new(&trace, &green_transform);
         let prepared_baseline =
             PreparedTrace::new(&trace, &|vm: &VmSpec| PlacementRequest::baseline_only(vm));
         let shape = ServerShape::baseline_gen3();

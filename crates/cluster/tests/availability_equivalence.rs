@@ -16,6 +16,9 @@
 //!    the simulated steady-state out-of-service fraction agrees with
 //!    the closed-form Little's-law `oos_fraction`.
 
+mod common;
+
+use common::{assert_bitwise, green_transform, random_small_vm_trace};
 use gsf_cluster::sharded::replay_sharded;
 use gsf_cluster::sizing::{
     right_size_baseline_only_prepared, right_size_mixed_prepared, AvailabilitySlo, FaultInjection,
@@ -25,57 +28,11 @@ use gsf_vmalloc::{
     AllocationSim, ClusterConfig, FaultEvent, FaultKind, FaultPlan, FaultPool, PlacementPolicy,
     PlacementRequest, PreparedTrace, ServerShape, ShardedSim, SimOutcome,
 };
-use gsf_workloads::{ServerGeneration, Trace, VmEvent, VmEventKind, VmSpec};
+use gsf_workloads::{Trace, VmSpec};
 use proptest::prelude::*;
-use rand::{Rng, SeedableRng};
 
 const POLICIES: [PlacementPolicy; 3] =
     [PlacementPolicy::BestFit, PlacementPolicy::FirstFit, PlacementPolicy::WorstFit];
-
-fn random_trace(n_vms: usize, seed: u64) -> Trace {
-    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-    let mut vms = Vec::new();
-    let mut events = Vec::new();
-    for id in 0..n_vms as u64 {
-        let cores = *[1u32, 2, 4, 8, 16].get(rng.gen_range(0..5)).unwrap();
-        vms.push(VmSpec {
-            id,
-            cores,
-            mem_gb: f64::from(cores) * rng.gen_range(2.0..10.0),
-            app_index: rng.gen_range(0..20),
-            generation: ServerGeneration::Gen3,
-            full_node: false,
-            max_mem_util: rng.gen_range(0.1..1.0),
-            avg_cpu_util: rng.gen_range(0.05..0.6),
-        });
-        let t = rng.gen_range(0.0..1000.0);
-        events.push(VmEvent { time_s: t, kind: VmEventKind::Arrival, vm_id: id });
-        if rng.gen_bool(0.8) {
-            events.push(VmEvent {
-                time_s: t + rng.gen_range(1.0..1500.0),
-                kind: VmEventKind::Departure,
-                vm_id: id,
-            });
-        }
-    }
-    Trace::new(2100.0, vms, events)
-}
-
-fn mixed_transform(vm: &VmSpec) -> PlacementRequest {
-    PlacementRequest::prefer_green(vm, 1.25)
-}
-
-fn assert_bitwise(a: &SimOutcome, b: &SimOutcome) {
-    assert_eq!(a, b);
-    assert_eq!(
-        a.usage.total_baseline_core_hours().to_bits(),
-        b.usage.total_baseline_core_hours().to_bits()
-    );
-    assert_eq!(
-        a.usage.total_green_core_hours().to_bits(),
-        b.usage.total_green_core_hours().to_bits()
-    );
-}
 
 /// A repair-enabled, domain-correlated model aggressive enough to land
 /// full failures, revivals, and retry-queue traffic on small clusters.
@@ -123,7 +80,7 @@ proptest! {
             .unwrap_or_else(|e| panic!("default knobs rejected: {e}"));
         prop_assert_eq!(flat.signature(), base.signature());
 
-        let trace = random_trace(n_vms, seed);
+        let trace = random_small_vm_trace(n_vms, seed);
         let config = ClusterConfig::mixed(4, 3);
         let plan_base = injection(&base, None).plan_for(&config, trace.duration_s());
         let plan_flat = injection(&flat, None).plan_for(&config, trace.duration_s());
@@ -132,13 +89,13 @@ proptest! {
             prop_assert_eq!(a.time_s.to_bits(), b.time_s.to_bits());
         }
 
-        let prepared = PreparedTrace::new(&trace, &mixed_transform);
+        let prepared = PreparedTrace::new(&trace, &green_transform);
         for policy in POLICIES {
             let (out_p, sum_p) = AllocationSim::new(config, policy)
                 .replay_prepared_faulted(&prepared, &plan_flat);
             let (out_u, sum_u) = AllocationSim::new(config, policy)
                 .with_linear_selection()
-                .replay_faulted_unprepared(&trace, &mixed_transform, &plan_flat);
+                .replay_faulted_unprepared(&trace, &green_transform, &plan_flat);
             assert_bitwise(&out_p, &out_u);
             prop_assert_eq!(&sum_p, &sum_u);
             let (out_s, sum_s) = ShardedSim::new(config, policy, 1)
@@ -163,8 +120,8 @@ proptest! {
             .with_topology(FaultTopology::flat())
             .and_then(|m| m.with_repair_days(0.0))
             .unwrap_or_else(|e| panic!("default knobs rejected: {e}"));
-        let trace = random_trace(n_vms, seed);
-        let prepared = PreparedTrace::new(&trace, &mixed_transform);
+        let trace = random_small_vm_trace(n_vms, seed);
+        let prepared = PreparedTrace::new(&trace, &green_transform);
         let prepared_baseline =
             PreparedTrace::new(&trace, &|vm: &VmSpec| PlacementRequest::baseline_only(vm));
         let shape = ServerShape::baseline_gen3();
@@ -224,8 +181,8 @@ proptest! {
         afr_scale in 20.0..60.0f64,
     ) {
         let model = domain_repair_model(model_seed, afr_scale);
-        let trace = random_trace(n_vms, seed);
-        let prepared = PreparedTrace::new(&trace, &mixed_transform);
+        let trace = random_small_vm_trace(n_vms, seed);
+        let prepared = PreparedTrace::new(&trace, &green_transform);
         let config = ClusterConfig::mixed(7, 5);
         let plan = injection(&model, None).plan_for(&config, trace.duration_s());
         let (out_1, sum_1) = AllocationSim::new(config, PlacementPolicy::BestFit)
@@ -256,12 +213,12 @@ fn replay_all_engines(
     config: ClusterConfig,
     plan: &FaultPlan,
 ) -> (SimOutcome, gsf_vmalloc::FaultSummary) {
-    let prepared = PreparedTrace::new(trace, &mixed_transform);
+    let prepared = PreparedTrace::new(trace, &green_transform);
     let (out_p, sum_p) = AllocationSim::new(config, PlacementPolicy::BestFit)
         .replay_prepared_faulted(&prepared, plan);
     let (out_u, sum_u) = AllocationSim::new(config, PlacementPolicy::BestFit)
         .with_linear_selection()
-        .replay_faulted_unprepared(trace, &mixed_transform, plan);
+        .replay_faulted_unprepared(trace, &green_transform, plan);
     assert_bitwise(&out_p, &out_u);
     assert_eq!(sum_p, sum_u);
     for shards in [1usize, 2] {
@@ -291,7 +248,7 @@ fn revive(time_s: f64, server: u32) -> FaultEvent {
 /// engine, identically.
 #[test]
 fn fault_exactly_at_horizon_strikes_in_every_engine() {
-    let trace = random_trace(20, 3);
+    let trace = random_small_vm_trace(20, 3);
     let config = ClusterConfig::mixed(3, 2);
     let duration = trace.duration_s();
     let plan = FaultPlan::new(vec![full_fault(duration, 0)], 3, 3, 2).unwrap();
@@ -303,7 +260,7 @@ fn fault_exactly_at_horizon_strikes_in_every_engine() {
 /// bit-identical to the same plan without the Revive — in every engine.
 #[test]
 fn repair_past_horizon_is_ignored_in_every_engine() {
-    let trace = random_trace(20, 5);
+    let trace = random_small_vm_trace(20, 5);
     let config = ClusterConfig::mixed(3, 2);
     let duration = trace.duration_s();
     let with_late_revive =
@@ -321,7 +278,7 @@ fn repair_past_horizon_is_ignored_in_every_engine() {
 /// identically so in every engine.
 #[test]
 fn repair_exactly_at_horizon_lands_in_every_engine() {
-    let trace = random_trace(20, 7);
+    let trace = random_small_vm_trace(20, 7);
     let config = ClusterConfig::mixed(3, 2);
     let duration = trace.duration_s();
     let plan = FaultPlan::new(vec![full_fault(100.0, 0), revive(duration, 0)], 3, 3, 2).unwrap();
@@ -334,7 +291,7 @@ fn repair_exactly_at_horizon_lands_in_every_engine() {
 /// non-increasing in the budget.
 #[test]
 fn slo_constrained_sizing_is_monotone_in_the_budget() {
-    let trace = random_trace(40, 9);
+    let trace = random_small_vm_trace(40, 9);
     let prepared_baseline =
         PreparedTrace::new(&trace, &|vm: &VmSpec| PlacementRequest::baseline_only(vm));
     let shape = ServerShape::baseline_gen3();
@@ -381,7 +338,7 @@ fn simulated_oos_fraction_matches_littles_law() {
     let model = model
         .with_repair_days(repair_days)
         .unwrap_or_else(|e| panic!("valid repair rejected: {e}"));
-    let trace = random_trace(5, 21);
+    let trace = random_small_vm_trace(5, 21);
     let config = ClusterConfig::baseline_only(servers);
     let plan = injection(&model, None).plan_for(&config, trace.duration_s());
     let prepared = PreparedTrace::new(&trace, &|vm: &VmSpec| PlacementRequest::baseline_only(vm));

@@ -9,8 +9,10 @@
 //! assert the outcomes agree exactly — same `SimOutcome` (including
 //! metrics and the usage ledger's float totals, compared via `to_bits`)
 //! and same `FaultSummary` — across random traces, random cluster
-//! shapes, all three policies, sampled fault plans, `reset()` reuse,
-//! and both sizing searches.
+//! shapes, all three policies, sampled fault plans and `reset()` reuse.
+//! Sizing on the two selection paths is compared in
+//! `prepared_equivalence.rs`, whose reference sizing runs the linear
+//! scan.
 //!
 //! Two layers of checking compound here: the indexed runs below execute
 //! in debug mode, so every single selection is also cross-checked
@@ -18,77 +20,19 @@
 //! `debug_assert`s in the simulator — a per-request pin far stronger
 //! than end-of-run outcome equality alone.
 
-use gsf_cluster::sizing::{
-    right_size_baseline_only_faulted, right_size_baseline_only_prepared_linear,
-    right_size_mixed_faulted, right_size_mixed_prepared_linear, FaultInjection,
-};
+mod common;
+
+use common::{assert_bitwise, mixed_transform, random_trace};
+use gsf_cluster::sizing::FaultInjection;
 use gsf_maintenance::{FaultModel, PoolDevices};
 use gsf_vmalloc::{
     AllocationSim, ClusterConfig, FaultEvent, FaultKind, FaultPlan, FaultPool, PlacementPolicy,
-    PlacementRequest, PreparedTrace, ServerShape, SimOutcome,
+    PreparedTrace,
 };
-use gsf_workloads::{ServerGeneration, Trace, VmEvent, VmEventKind, VmSpec};
 use proptest::prelude::*;
-use rand::{Rng, SeedableRng};
 
 const POLICIES: [PlacementPolicy; 3] =
     [PlacementPolicy::BestFit, PlacementPolicy::FirstFit, PlacementPolicy::WorstFit];
-
-fn random_trace(n_vms: usize, seed: u64, full_node_pct: f64) -> Trace {
-    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-    let mut vms = Vec::new();
-    let mut events = Vec::new();
-    for id in 0..n_vms as u64 {
-        let full_node = rng.gen_bool(full_node_pct);
-        let cores =
-            if full_node { 80 } else { *[1u32, 2, 4, 8, 16].get(rng.gen_range(0..5)).unwrap() };
-        let mem = if full_node { 768.0 } else { f64::from(cores) * rng.gen_range(2.0..10.0) };
-        vms.push(VmSpec {
-            id,
-            cores,
-            mem_gb: mem,
-            app_index: rng.gen_range(0..20),
-            generation: ServerGeneration::Gen3,
-            full_node,
-            max_mem_util: rng.gen_range(0.1..1.0),
-            avg_cpu_util: rng.gen_range(0.05..0.6),
-        });
-        let t = rng.gen_range(0.0..1000.0);
-        events.push(VmEvent { time_s: t, kind: VmEventKind::Arrival, vm_id: id });
-        // Leave some VMs resident at the horizon so placements keep
-        // competing for fragmented capacity, not just empty servers.
-        if rng.gen_bool(0.8) {
-            events.push(VmEvent {
-                time_s: t + rng.gen_range(1.0..1500.0),
-                kind: VmEventKind::Departure,
-                vm_id: id,
-            });
-        }
-    }
-    Trace::new(2100.0, vms, events)
-}
-
-fn mixed_transform(vm: &VmSpec) -> PlacementRequest {
-    if vm.full_node {
-        PlacementRequest::baseline_only(vm)
-    } else {
-        PlacementRequest::prefer_green(vm, 1.25)
-    }
-}
-
-/// `SimOutcome` equality plus bit-level equality on the usage ledger's
-/// accumulated floats.
-fn assert_bitwise(a: &SimOutcome, b: &SimOutcome) {
-    assert_eq!(a, b);
-    assert_eq!(
-        a.usage.total_baseline_core_hours().to_bits(),
-        b.usage.total_baseline_core_hours().to_bits()
-    );
-    assert_eq!(
-        a.usage.total_green_core_hours().to_bits(),
-        b.usage.total_green_core_hours().to_bits()
-    );
-}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
@@ -167,60 +111,6 @@ proptest! {
                 .with_linear_selection()
                 .replay_unprepared(&trace, &mixed_transform);
             assert_bitwise(&out_i, &out_l);
-        }
-    }
-
-    /// Both sizing searches return identical plans (and identical
-    /// errors) on the indexed and linear selection paths, faulted and
-    /// fault-free.
-    #[test]
-    fn sizing_agrees_between_selection_paths(
-        n_vms in 1usize..40,
-        seed in 0u64..200,
-        model_seed in 0u64..32,
-    ) {
-        let trace = random_trace(n_vms, seed, 0.0);
-        let shape = ServerShape::baseline_gen3();
-        let green = ServerShape::greensku();
-        let baseline_transform = |vm: &VmSpec| PlacementRequest::baseline_only(vm);
-        let prepared_baseline = PreparedTrace::new(&trace, &baseline_transform);
-        let prepared_mixed = PreparedTrace::new(&trace, &mixed_transform);
-        let mut model = FaultModel::paper(model_seed);
-        model.afr_scale = 30.0;
-        let inj = FaultInjection {
-            model: &model,
-            baseline_devices: PoolDevices::baseline(),
-            green_devices: PoolDevices::greensku_full(),
-            slo: None,
-        };
-        for faults in [None, Some(&inj)] {
-            prop_assert_eq!(
-                right_size_baseline_only_faulted(&trace, shape, PlacementPolicy::BestFit, faults),
-                right_size_baseline_only_prepared_linear(
-                    &prepared_baseline,
-                    shape,
-                    PlacementPolicy::BestFit,
-                    faults,
-                )
-            );
-            prop_assert_eq!(
-                right_size_mixed_faulted(
-                    &trace,
-                    &mixed_transform,
-                    shape,
-                    green,
-                    PlacementPolicy::BestFit,
-                    faults,
-                ),
-                right_size_mixed_prepared_linear(
-                    &prepared_mixed,
-                    &prepared_baseline,
-                    shape,
-                    green,
-                    PlacementPolicy::BestFit,
-                    faults,
-                )
-            );
         }
     }
 }

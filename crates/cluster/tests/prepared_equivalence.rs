@@ -11,82 +11,29 @@
 //! exactly — same `SimOutcome` (including metrics and the usage
 //! ledger's float totals, compared via `to_bits`) and same
 //! `FaultSummary` — across random traces, random cluster shapes,
-//! hand-built fault plans, and sampled AFR-model plans, and that the
-//! sizing searches built on top of them return identical cluster plans.
+//! hand-built fault plans, and sampled AFR-model plans, and that every
+//! prepared sizing entry point returns what the reference sizing
+//! (`right_size_unprepared`) returns, work counters included.
 //! The sizing probes' verdict-only replay
 //! (`AllocationSim::probe_prepared_faulted`) is pinned here to the full
 //! prepared replay it stands in for.
 
+mod common;
+
+use common::{assert_bitwise, baseline_transform, mixed_transform, random_trace};
 use gsf_cluster::sizing::{
-    right_size_baseline_only_faulted, right_size_baseline_only_unprepared,
-    right_size_mixed_faulted, right_size_mixed_unprepared, right_size_prepared, AvailabilitySlo,
-    FaultInjection,
+    right_size_baseline_only_prepared, right_size_mixed_prepared, right_size_prepared,
+    right_size_unprepared, AvailabilitySlo, FaultInjection,
 };
 use gsf_maintenance::{FaultModel, FaultTopology, PoolDevices};
 use gsf_vmalloc::{
     AllocationSim, ClusterConfig, FaultEvent, FaultKind, FaultPlan, FaultPool, FaultSummary,
-    PlacementPolicy, PlacementRequest, PreparedTrace, ServerShape, SimOutcome,
+    PlacementPolicy, PreparedTrace, ServerShape,
 };
-use gsf_workloads::{ServerGeneration, Trace, VmEvent, VmEventKind, VmSpec};
 use proptest::prelude::*;
-use rand::{Rng, SeedableRng};
 
-fn random_trace(n_vms: usize, seed: u64, full_node_pct: f64) -> Trace {
-    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-    let mut vms = Vec::new();
-    let mut events = Vec::new();
-    for id in 0..n_vms as u64 {
-        let full_node = rng.gen_bool(full_node_pct);
-        let cores =
-            if full_node { 80 } else { *[1u32, 2, 4, 8, 16].get(rng.gen_range(0..5)).unwrap() };
-        let mem = if full_node { 768.0 } else { f64::from(cores) * rng.gen_range(2.0..10.0) };
-        vms.push(VmSpec {
-            id,
-            cores,
-            mem_gb: mem,
-            app_index: rng.gen_range(0..20),
-            generation: ServerGeneration::Gen3,
-            full_node,
-            max_mem_util: rng.gen_range(0.1..1.0),
-            avg_cpu_util: rng.gen_range(0.05..0.6),
-        });
-        let t = rng.gen_range(0.0..1000.0);
-        events.push(VmEvent { time_s: t, kind: VmEventKind::Arrival, vm_id: id });
-        // Leave some VMs resident at the horizon so settlement order is
-        // exercised, not just the departure path.
-        if rng.gen_bool(0.8) {
-            events.push(VmEvent {
-                time_s: t + rng.gen_range(1.0..1500.0),
-                kind: VmEventKind::Departure,
-                vm_id: id,
-            });
-        }
-    }
-    Trace::new(2100.0, vms, events)
-}
-
-fn mixed_transform(vm: &VmSpec) -> PlacementRequest {
-    if vm.full_node {
-        PlacementRequest::baseline_only(vm)
-    } else {
-        PlacementRequest::prefer_green(vm, 1.25)
-    }
-}
-
-/// `SimOutcome` equality plus bit-level equality on the usage ledger's
-/// accumulated floats — `PartialEq` on `f64` would let `-0.0 == 0.0`
-/// slide, and determinism here means the *bits* match.
-fn assert_bitwise(a: &SimOutcome, b: &SimOutcome) {
-    assert_eq!(a, b);
-    assert_eq!(
-        a.usage.total_baseline_core_hours().to_bits(),
-        b.usage.total_baseline_core_hours().to_bits()
-    );
-    assert_eq!(
-        a.usage.total_green_core_hours().to_bits(),
-        b.usage.total_green_core_hours().to_bits()
-    );
-}
+const POLICIES: [PlacementPolicy; 3] =
+    [PlacementPolicy::BestFit, PlacementPolicy::FirstFit, PlacementPolicy::WorstFit];
 
 /// `FaultSummary` equality plus bit-level equality on its floats.
 fn assert_summary_bitwise(a: &FaultSummary, b: &FaultSummary) {
@@ -235,11 +182,22 @@ proptest! {
             assert_bitwise(&out_p, &out_u);
         }
     }
+}
 
-    /// The sizing searches built on each engine return identical plans
-    /// (and identical errors), faulted and fault-free.
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Every prepared sizing entry point against the reference sizing,
+    /// all three policies, faulted and fault-free: the one-pass
+    /// `right_size_prepared` (unsharded) returns the oracle's whole
+    /// `ClusterSizing` — `n0`, plan and work counters — or its error;
+    /// `right_size_mixed_prepared` its plan; and
+    /// `right_size_baseline_only_prepared` its `n0`. The production
+    /// side runs indexed selection on the prepared engine, the oracle
+    /// linear selection on the unprepared one, so both axes are
+    /// covered at once.
     #[test]
-    fn sizing_agrees_between_engines(
+    fn sizing_agrees_with_the_reference(
         n_vms in 1usize..40,
         seed in 0u64..200,
         model_seed in 0u64..32,
@@ -247,6 +205,8 @@ proptest! {
         let trace = random_trace(n_vms, seed, 0.0);
         let shape = ServerShape::baseline_gen3();
         let green = ServerShape::greensku();
+        let prepared = PreparedTrace::new(&trace, &mixed_transform);
+        let prepared_baseline = PreparedTrace::new(&trace, &baseline_transform);
         let mut model = FaultModel::paper(model_seed);
         model.afr_scale = 30.0;
         let inj = FaultInjection {
@@ -255,58 +215,36 @@ proptest! {
             green_devices: PoolDevices::greensku_full(),
             slo: None,
         };
-        for faults in [None, Some(&inj)] {
-            prop_assert_eq!(
-                right_size_baseline_only_faulted(&trace, shape, PlacementPolicy::BestFit, faults),
-                right_size_baseline_only_unprepared(&trace, shape, PlacementPolicy::BestFit, faults)
-            );
-            prop_assert_eq!(
-                right_size_mixed_faulted(
-                    &trace,
-                    &mixed_transform,
-                    shape,
-                    green,
-                    PlacementPolicy::BestFit,
-                    faults,
-                ),
-                right_size_mixed_unprepared(
-                    &trace,
-                    &mixed_transform,
-                    shape,
-                    green,
-                    PlacementPolicy::BestFit,
-                    faults,
-                )
-            );
-            // The one-pass entry point: `n0` and the plan together.
-            let prepared = PreparedTrace::new(&trace, &mixed_transform);
-            let prepared_baseline =
-                PreparedTrace::new(&trace, &|vm: &VmSpec| PlacementRequest::baseline_only(vm));
-            let one_pass = right_size_prepared(
-                &prepared,
-                &prepared_baseline,
-                shape,
-                green,
-                PlacementPolicy::BestFit,
-                faults,
-                1,
-                1,
-            )
-            .map(|sizing| (sizing.baseline_only, sizing.plan));
-            let reference =
-                right_size_baseline_only_unprepared(&trace, shape, PlacementPolicy::BestFit, faults)
-                    .and_then(|n0| {
-                        right_size_mixed_unprepared(
-                            &trace,
-                            &mixed_transform,
-                            shape,
-                            green,
-                            PlacementPolicy::BestFit,
-                            faults,
-                        )
-                        .map(|plan| (n0, plan))
-                    });
-            prop_assert_eq!(one_pass, reference);
+        for policy in POLICIES {
+            for faults in [None, Some(&inj)] {
+                let oracle =
+                    right_size_unprepared(&trace, &mixed_transform, shape, green, policy, faults);
+                prop_assert_eq!(
+                    &right_size_prepared(
+                        &prepared, &prepared_baseline, shape, green, policy, faults, 1, 1,
+                    ),
+                    &oracle
+                );
+                prop_assert_eq!(
+                    right_size_mixed_prepared(
+                        &prepared, &prepared_baseline, shape, green, policy, faults,
+                    ),
+                    oracle.clone().map(|sizing| sizing.plan)
+                );
+                let n0 =
+                    right_size_baseline_only_prepared(&prepared_baseline, shape, policy, faults);
+                match &oracle {
+                    Ok(sizing) => prop_assert_eq!(n0, Ok(sizing.baseline_only)),
+                    // The oracle's error comes from its baseline search
+                    // or from its mixed search; a failed baseline
+                    // search must fail the same way.
+                    Err(err) => {
+                        if let Err(n0_err) = n0 {
+                            prop_assert_eq!(&n0_err, err);
+                        }
+                    }
+                }
+            }
         }
     }
 }

@@ -9,82 +9,27 @@
 //! the usage ledger's float totals, compared via `to_bits`) and the
 //! `FaultSummary` must equal the serial reference exactly. These tests
 //! assert that across random traces, all three policies, fault plans
-//! landing precisely on shard boundaries, `reset()` reuse, and both
-//! sizing searches; they also pin `shards == 1` to the unsharded
-//! engine, closing the chain unsharded == 1-shard-serial ==
-//! 1-shard-parallel.
+//! landing precisely on shard boundaries, `reset()` reuse, and the
+//! sharded sizing pass of `right_size_prepared`; they also pin
+//! `shards == 1` to the unsharded engine, closing the chain unsharded
+//! == 1-shard-serial == 1-shard-parallel.
 
-use gsf_cluster::sharded::{
-    replay_sharded, right_size_baseline_only_prepared_sharded, right_size_mixed_prepared_sharded,
-};
+mod common;
+
+use common::{assert_bitwise, baseline_transform, mixed_transform, random_trace};
+use gsf_cluster::sharded::replay_sharded;
 use gsf_cluster::sizing::right_size_prepared;
 use gsf_maintenance::{FaultModel, PoolDevices};
 use gsf_vmalloc::{
     merge_probes, AllocationSim, ClusterConfig, FaultEvent, FaultKind, FaultPlan, FaultPool,
-    PlacementPolicy, PlacementRequest, PreparedTrace, ServerShape, ShardedSim, SimOutcome,
+    PlacementPolicy, PreparedTrace, ServerShape, ShardedSim,
 };
-use gsf_workloads::{ServerGeneration, Trace, VmEvent, VmEventKind, VmSpec};
 use proptest::prelude::*;
-use rand::{Rng, SeedableRng};
 
 const POLICIES: [PlacementPolicy; 3] =
     [PlacementPolicy::BestFit, PlacementPolicy::FirstFit, PlacementPolicy::WorstFit];
 
 const WORKER_COUNTS: [usize; 3] = [1, 2, 7];
-
-fn random_trace(n_vms: usize, seed: u64, full_node_pct: f64) -> Trace {
-    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-    let mut vms = Vec::new();
-    let mut events = Vec::new();
-    for id in 0..n_vms as u64 {
-        let full_node = rng.gen_bool(full_node_pct);
-        let cores =
-            if full_node { 80 } else { *[1u32, 2, 4, 8, 16].get(rng.gen_range(0..5)).unwrap() };
-        let mem = if full_node { 768.0 } else { f64::from(cores) * rng.gen_range(2.0..10.0) };
-        vms.push(VmSpec {
-            id,
-            cores,
-            mem_gb: mem,
-            app_index: rng.gen_range(0..20),
-            generation: ServerGeneration::Gen3,
-            full_node,
-            max_mem_util: rng.gen_range(0.1..1.0),
-            avg_cpu_util: rng.gen_range(0.05..0.6),
-        });
-        let t = rng.gen_range(0.0..1000.0);
-        events.push(VmEvent { time_s: t, kind: VmEventKind::Arrival, vm_id: id });
-        if rng.gen_bool(0.8) {
-            events.push(VmEvent {
-                time_s: t + rng.gen_range(1.0..1500.0),
-                kind: VmEventKind::Departure,
-                vm_id: id,
-            });
-        }
-    }
-    Trace::new(2100.0, vms, events)
-}
-
-fn mixed_transform(vm: &VmSpec) -> PlacementRequest {
-    if vm.full_node {
-        PlacementRequest::baseline_only(vm)
-    } else {
-        PlacementRequest::prefer_green(vm, 1.25)
-    }
-}
-
-/// `SimOutcome` equality plus bit-level equality on the usage ledger's
-/// accumulated floats.
-fn assert_bitwise(a: &SimOutcome, b: &SimOutcome) {
-    assert_eq!(a, b);
-    assert_eq!(
-        a.usage.total_baseline_core_hours().to_bits(),
-        b.usage.total_baseline_core_hours().to_bits()
-    );
-    assert_eq!(
-        a.usage.total_green_core_hours().to_bits(),
-        b.usage.total_green_core_hours().to_bits()
-    );
-}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
@@ -212,9 +157,10 @@ proptest! {
         }
     }
 
-    /// Both sharded sizing searches return identical plans (and
-    /// identical errors) for every worker count — the probe's parallelism
-    /// must never leak into the search's answer.
+    /// The sharded sizing pass returns the same `ClusterSizing` (`n0`,
+    /// plan and work counters, or the same error) for every worker
+    /// count — the probe's parallelism must never leak into the
+    /// search's answer.
     #[test]
     fn sharded_sizing_is_worker_count_invariant(
         n_vms in 1usize..40,
@@ -225,7 +171,6 @@ proptest! {
         let trace = random_trace(n_vms, seed, 0.0);
         let shape = ServerShape::baseline_gen3();
         let green = ServerShape::greensku();
-        let baseline_transform = |vm: &VmSpec| PlacementRequest::baseline_only(vm);
         let prepared_baseline = PreparedTrace::new(&trace, &baseline_transform);
         let prepared_mixed = PreparedTrace::new(&trace, &mixed_transform);
         let mut model = FaultModel::paper(model_seed);
@@ -237,36 +182,15 @@ proptest! {
             slo: None,
         };
         for faults in [None, Some(&inj)] {
-            let n0_serial = right_size_baseline_only_prepared_sharded(
-                &prepared_baseline, shape, PlacementPolicy::BestFit, faults, shards, 1,
-            );
-            let plan_serial = right_size_mixed_prepared_sharded(
-                &prepared_mixed, &prepared_baseline, shape, green,
-                PlacementPolicy::BestFit, faults, shards, 1,
-            );
-            for workers in [2usize, 5] {
-                prop_assert_eq!(
-                    &right_size_baseline_only_prepared_sharded(
-                        &prepared_baseline, shape, PlacementPolicy::BestFit, faults, shards, workers,
-                    ),
-                    &n0_serial
-                );
-                prop_assert_eq!(
-                    &right_size_mixed_prepared_sharded(
-                        &prepared_mixed, &prepared_baseline, shape, green,
-                        PlacementPolicy::BestFit, faults, shards, workers,
-                    ),
-                    &plan_serial
-                );
-                // The one-pass entry point (unsharded engine at one
-                // shard) gives both answers at once.
-                let one_pass = right_size_prepared(
+            let size = |workers| {
+                right_size_prepared(
                     &prepared_mixed, &prepared_baseline, shape, green,
                     PlacementPolicy::BestFit, faults, shards, workers,
                 )
-                .map(|sizing| (sizing.baseline_only, sizing.plan));
-                let serial = n0_serial.clone().and_then(|n0| plan_serial.clone().map(|p| (n0, p)));
-                prop_assert_eq!(one_pass, serial);
+            };
+            let serial = size(1);
+            for workers in [2usize, 5] {
+                prop_assert_eq!(size(workers), serial.clone());
             }
         }
     }

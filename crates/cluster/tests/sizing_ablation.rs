@@ -1,18 +1,25 @@
 //! Sizing-level ablation: placement policy quality shows up as cluster
 //! size, the metric that actually costs carbon.
 
-use gsf_cluster::sizing::right_size_baseline_only;
+use gsf_cluster::sizing::right_size_baseline_only_prepared;
 use gsf_stats::rng::SeedFactory;
-use gsf_vmalloc::{PlacementPolicy, ServerShape};
-use gsf_workloads::{TraceGenerator, TraceParams};
+use gsf_vmalloc::{PlacementPolicy, PlacementRequest, PreparedTrace, ServerShape};
+use gsf_workloads::{Trace, TraceGenerator, TraceParams, VmSpec};
 
-fn trace(seed: u64) -> gsf_workloads::Trace {
+fn trace(seed: u64) -> Trace {
     TraceGenerator::new(TraceParams {
         duration_hours: 24.0,
         arrivals_per_hour: 60.0,
         ..TraceParams::default()
     })
     .generate(&SeedFactory::new(seed), 0)
+}
+
+/// Baseline-only right-sizing of `t` on 80-core servers.
+fn right_size(t: &Trace, policy: PlacementPolicy) -> u32 {
+    let prepared = PreparedTrace::new(t, &|vm: &VmSpec| PlacementRequest::baseline_only(vm));
+    right_size_baseline_only_prepared(&prepared, ServerShape::baseline_gen3(), policy, None)
+        .unwrap()
 }
 
 #[test]
@@ -23,12 +30,8 @@ fn best_fit_never_needs_more_servers_than_worst_fit() {
     let mut worst_total = 0u32;
     for seed in 0..4 {
         let t = trace(seed);
-        best_total +=
-            right_size_baseline_only(&t, ServerShape::baseline_gen3(), PlacementPolicy::BestFit)
-                .unwrap();
-        worst_total +=
-            right_size_baseline_only(&t, ServerShape::baseline_gen3(), PlacementPolicy::WorstFit)
-                .unwrap();
+        best_total += right_size(&t, PlacementPolicy::BestFit);
+        worst_total += right_size(&t, PlacementPolicy::WorstFit);
     }
     assert!(best_total <= worst_total, "best-fit {best_total} vs worst-fit {worst_total}");
 }
@@ -42,7 +45,7 @@ fn worst_fit_pays_a_real_but_bounded_packing_tax() {
     let sizes: Vec<u32> =
         [PlacementPolicy::BestFit, PlacementPolicy::FirstFit, PlacementPolicy::WorstFit]
             .iter()
-            .map(|&p| right_size_baseline_only(&t, ServerShape::baseline_gen3(), p).unwrap())
+            .map(|&p| right_size(&t, p))
             .collect();
     assert_eq!(sizes[0], sizes[1], "best-fit vs first-fit: {sizes:?}");
     assert!(sizes[2] > sizes[0], "worst-fit should waste servers: {sizes:?}");
@@ -55,9 +58,7 @@ fn worst_fit_pays_a_real_but_bounded_packing_tax() {
 #[test]
 fn sizing_deterministic_per_policy() {
     let t = trace(5);
-    let a = right_size_baseline_only(&t, ServerShape::baseline_gen3(), PlacementPolicy::BestFit)
-        .unwrap();
-    let b = right_size_baseline_only(&t, ServerShape::baseline_gen3(), PlacementPolicy::BestFit)
-        .unwrap();
+    let a = right_size(&t, PlacementPolicy::BestFit);
+    let b = right_size(&t, PlacementPolicy::BestFit);
     assert_eq!(a, b);
 }

@@ -792,10 +792,11 @@ mod tests {
         // seeds the mixed search) on the unsharded and the sharded
         // path alike, and a sizing-memo hit runs none.
         let trace = small_trace();
-        let n0 = gsf_cluster::sizing::right_size_baseline_only(
-            &trace,
+        let n0 = gsf_cluster::sizing::right_size_baseline_only_prepared(
+            &PreparedTrace::new(&trace, &|vm: &VmSpec| PlacementRequest::baseline_only(vm)),
             ServerShape::baseline_gen3(),
             PlacementPolicy::BestFit,
+            None,
         )
         .unwrap();
         for shards in [1usize, 2] {

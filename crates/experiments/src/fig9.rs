@@ -5,11 +5,13 @@
 use crate::context::{ExpContext, ExpError};
 use gsf_carbon::ModelParams;
 use gsf_cluster::parallel::map_parallel;
-use gsf_cluster::sizing::{right_size_baseline_only, right_size_mixed};
+use gsf_cluster::sizing::right_size_prepared;
 use gsf_core::{GreenSkuDesign, VmRouter};
 use gsf_stats::cdf::EmpiricalCdf;
 use gsf_stats::rng::SeedFactory;
-use gsf_vmalloc::{AllocationSim, ClusterConfig, PlacementPolicy, PlacementRequest, ServerShape};
+use gsf_vmalloc::{
+    AllocationSim, ClusterConfig, PlacementPolicy, PlacementRequest, PreparedTrace, ServerShape,
+};
 use gsf_workloads::{tracegen, Trace, TraceGenerator, VmSpec};
 
 /// Per-trace packing statistics.
@@ -56,23 +58,35 @@ pub fn packing_study(
         ServerShape { cores: design.carbon.cores(), mem_gb: design.carbon.memory_capacity().get() };
     let workers = std::thread::available_parallelism().map_or(4, |n| n.get());
     let results = map_parallel(&traces, workers, |_, trace| -> Result<TracePacking, ExpError> {
+        // Both plans are built once: one sizing pass probes them, and
+        // the two packing replays reuse them.
         let transform_base = |vm: &VmSpec| PlacementRequest::baseline_only(vm);
-        let n0 = right_size_baseline_only(trace, baseline_shape, policy)?;
-        let base_outcome = AllocationSim::new(ClusterConfig::baseline_only(n0), policy)
-            .replay(trace, &transform_base);
-
         let transform_green = |vm: &VmSpec| router.request(vm);
-        let plan = right_size_mixed(trace, &transform_green, baseline_shape, green_shape, policy)?;
+        let prepared_base = PreparedTrace::new(trace, &transform_base);
+        let prepared_green = PreparedTrace::new(trace, &transform_green);
+        let sizing = right_size_prepared(
+            &prepared_green,
+            &prepared_base,
+            baseline_shape,
+            green_shape,
+            policy,
+            None,
+            1,
+            1,
+        )?;
+        let base_outcome =
+            AllocationSim::new(ClusterConfig::baseline_only(sizing.baseline_only), policy)
+                .replay_prepared(&prepared_base);
         let mixed_outcome = AllocationSim::new(
             ClusterConfig {
-                baseline_count: plan.baseline,
+                baseline_count: sizing.plan.baseline,
                 baseline_shape,
-                green_count: plan.green,
+                green_count: sizing.plan.green,
                 green_shape,
             },
             policy,
         )
-        .replay(trace, &transform_green);
+        .replay_prepared(&prepared_green);
 
         Ok(TracePacking {
             baseline_core: base_outcome.metrics.baseline.mean_core_density(),

@@ -328,13 +328,6 @@ impl ShardedSim {
         Self { sims, plan, policy }
     }
 
-    /// Switches every shard to the linear reference selection (see
-    /// [`AllocationSim::with_linear_selection`]); survives `reset`.
-    pub fn with_linear_selection(mut self) -> Self {
-        self.sims = self.sims.into_iter().map(AllocationSim::with_linear_selection).collect();
-        self
-    }
-
     /// Re-shapes to `config`, keeping the shard count; every shard
     /// resets like a fresh simulator.
     pub fn reset(&mut self, config: ClusterConfig) {

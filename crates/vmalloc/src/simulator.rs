@@ -13,8 +13,9 @@
 //!   ([`AllocationSim::replay_unprepared`],
 //!   [`AllocationSim::replay_faulted_unprepared`]) resolves VMs and
 //!   requests on the fly, per event. It exists as the independent
-//!   reference the equivalence suite and the
-//!   `ablation_prepared_replay` bench compare against.
+//!   reference the equivalence suite compares against, and
+//!   `gsf_cluster::sizing::right_size_unprepared`, the sizing oracle,
+//!   probes on it.
 //!
 //! [`AllocationSim::replay`] / [`AllocationSim::replay_faulted`] build
 //! a [`PreparedTrace`] and route through the prepared engine.
@@ -290,7 +291,7 @@ impl AllocationSim {
     /// indexes, so no maintenance cost is paid either. Placement
     /// decisions are bit-identical to the indexed default; this mode
     /// exists as the executable spec for the `index_equivalence` suite
-    /// and the `ablation_indexed_placement` bench.
+    /// and the sizing oracle (`gsf_cluster::sizing::right_size_unprepared`).
     pub fn with_linear_selection(mut self) -> Self {
         self.baseline_index = None;
         self.green_index = None;
